@@ -625,9 +625,10 @@ fn in_serving_scope(rel: &str) -> bool {
         || rel.starts_with("src/")
 }
 
-/// The decode/serve entry points: `decompress*` / `read_stream*` free fns,
-/// every `StreamSource` / `ForwardSource` / `StreamReader` method,
-/// `inspect::render`, and `JobHandle::join`.
+/// The decode/serve entry points: `decompress*` / `read_stream*` /
+/// `read_chunk*` free fns, every method of the three readers
+/// (`StreamReader`, `StreamSource`, `ForwardSource`) and of the
+/// `ChunkIndex` they share, `inspect::render`, and `JobHandle::join`.
 pub fn l6_roots(ws: &Workspace) -> Vec<usize> {
     ws.fns
         .iter()
@@ -639,15 +640,29 @@ pub fn l6_roots(ws: &Workspace) -> Vec<usize> {
             let rel = &ws.files[f.file].rel;
             f.name.starts_with("decompress")
                 || f.name.starts_with("read_stream")
+                || f.name.starts_with("read_chunk")
                 || matches!(
                     f.owner.as_deref(),
-                    Some("StreamSource") | Some("ForwardSource") | Some("StreamReader")
+                    Some("StreamSource")
+                        | Some("ForwardSource")
+                        | Some("StreamReader")
+                        | Some("ChunkIndex")
                 )
                 || (rel.ends_with("inspect.rs") && f.name == "render" && f.owner.is_none())
                 || (f.owner.as_deref() == Some("JobHandle") && f.name == "join")
         })
         .map(|(i, _)| i)
         .collect()
+}
+
+/// Every fn the L6 walk visits: the [`l6_roots`] plus everything they
+/// reach through unsuppressed call edges, in function-table order.
+pub fn l6_reach(ws: &Workspace, graph: &CallGraph) -> Vec<usize> {
+    let mut reached: Vec<usize> = bfs(ws, graph, &l6_roots(ws), Lint::PanicReachability)
+        .into_keys()
+        .collect();
+    reached.sort_unstable();
+    reached
 }
 
 /// L6: no path from a decode/serve entry point may reach a panic site.

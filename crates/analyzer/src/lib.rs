@@ -1230,6 +1230,17 @@ impl Analyzer {
         }
     }
 
+    /// The function table of the first-party code under the root
+    /// (everything outside `vendor/`): the workspace the L6/L7 call-graph
+    /// lints walk.
+    pub fn first_party(&self) -> io::Result<Workspace> {
+        let mut files: Vec<(String, String)> = Vec::new();
+        collect_rs(&self.root, &self.root, &mut files)?;
+        files.retain(|(rel, _)| !is_vendor_path(rel));
+        files.sort();
+        Ok(Workspace::from_sources(&files))
+    }
+
     /// Runs the lints over every `.rs` file under the root (skipping
     /// `target/`, `.git/` and fixture directories). Violations are sorted
     /// by file, line and lint.

@@ -9,6 +9,7 @@
 
 use std::path::{Path, PathBuf};
 
+use szhi_analyzer::graph::{l6_reach, CallGraph};
 use szhi_analyzer::Analyzer;
 
 fn workspace_root() -> PathBuf {
@@ -57,6 +58,48 @@ fn transitive_lints_found_their_roots() {
         report.metrics.unresolved_calls > 0,
         "zero unresolved calls is implausible (std/extern calls are recorded, not dropped)"
     );
+}
+
+/// The panic-reachability walk must cover the chunked read path by name:
+/// the one chunk-table parser, every fetch strategy, the chunk CRC check
+/// and the chunk decoder. A renamed reader, or a trait-generic fetch the
+/// call graph could not follow, would otherwise drop that code out of L6
+/// while every other test still passed.
+#[test]
+fn panic_reachability_covers_the_read_path() {
+    let ws = Analyzer::new(workspace_root())
+        .first_party()
+        .expect("walking the workspace");
+    let reached = l6_reach(&ws, &CallGraph::build(&ws));
+    for (file, owner, name) in [
+        ("crates/core/src/format.rs", None, "parse_chunk_table"),
+        ("crates/core/src/format.rs", Some("Slice"), "fetch"),
+        ("crates/core/src/stream.rs", Some("Seekable"), "fetch"),
+        ("crates/core/src/stream.rs", Some("Forward"), "fetch"),
+        ("crates/core/src/stream.rs", Some("Forward"), "drain_len"),
+        ("crates/core/src/format.rs", Some("ChunkEntry"), "verify"),
+        (
+            "crates/core/src/compressor.rs",
+            None,
+            "decompress_chunk_body",
+        ),
+    ] {
+        let qualified = owner.map_or(name.to_string(), |o| format!("{o}::{name}"));
+        let f = ws
+            .fns
+            .iter()
+            .position(|f| {
+                !f.is_test
+                    && f.name == name
+                    && f.owner.as_deref() == owner
+                    && ws.files[f.file].rel == file
+            })
+            .unwrap_or_else(|| panic!("`{qualified}` not found in {file}"));
+        assert!(
+            reached.contains(&f),
+            "L6 no longer reaches `{qualified}` ({file}) from a decode/serve entry point"
+        );
+    }
 }
 
 /// Every `szhi-analyzer: allow(...)` comment in the tree must carry a

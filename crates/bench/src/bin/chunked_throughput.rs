@@ -558,13 +558,11 @@ fn orchestration_section(n: usize, report: &mut JsonReport) {
         let mut modes: BTreeMap<String, usize> = BTreeMap::new();
         let mut configs: BTreeMap<String, usize> = BTreeMap::new();
         for i in 0..reader.chunk_count() {
-            *modes
-                .entry(reader.chunk_pipeline(i).name().to_string())
-                .or_insert(0) += 1;
+            let pipeline = reader.chunk_pipeline(i).expect("chunk index in range");
+            *modes.entry(pipeline.name().to_string()).or_insert(0) += 1;
             if cfg.chunk_interp_tuning {
-                *configs
-                    .entry(interp_signature(&reader.chunk_interp(i)))
-                    .or_insert(0) += 1;
+                let interp = reader.chunk_interp(i).expect("chunk index in range");
+                *configs.entry(interp_signature(&interp)).or_insert(0) += 1;
             }
         }
         let fmt_hist = |h: &BTreeMap<_, usize>| {

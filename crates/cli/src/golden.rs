@@ -60,7 +60,7 @@ pub fn build(version: u8, field: &Grid<f32>) -> Result<Vec<u8>, SzhiError> {
         1 => compress(field, &base()),
         2 => {
             let v3 = compress(field, &base().with_chunk_span(GOLDEN_SPAN))?;
-            let (header, table) = format::read_stream_chunked(&v3)?;
+            let (header, table) = format::read_chunk_table(&v3)?;
             let bodies: Vec<Vec<u8>> = (0..table.entries.len())
                 .map(|i| table.chunk_slice(&v3, i).to_vec())
                 .collect();

@@ -647,7 +647,7 @@ mod tests {
         let g = DatasetKind::Miranda.generate(Dims::d3(40, 36, 33), 7);
         let cfg = SzhiConfig::new(ErrorBound::Relative(1e-3)).with_chunk_span([16, 16, 16]);
         let v3 = compress(&g, &cfg).unwrap();
-        let (header, table) = crate::format::read_stream_chunked(&v3).unwrap();
+        let (header, table) = crate::format::read_chunk_table(&v3).unwrap();
         let bodies: Vec<Vec<u8>> = (0..table.entries.len())
             .map(|i| table.chunk_slice(&v3, i).to_vec())
             .collect();
@@ -676,7 +676,7 @@ mod tests {
         let g = DatasetKind::Qmcpack.generate(Dims::d3(20, 20, 20), 3);
         let cfg = SzhiConfig::new(ErrorBound::Relative(1e-2)).with_chunk_span([16, 16, 16]);
         let bytes = compress(&g, &cfg).unwrap();
-        let (_, table) = crate::format::read_stream_chunked(&bytes).unwrap();
+        let (_, table) = crate::format::read_chunk_table(&bytes).unwrap();
         let data_start = table.data_start;
         for pos in (data_start..bytes.len()).step_by(7) {
             for flip in [0x01u8, 0x80] {
@@ -698,7 +698,7 @@ mod tests {
         let g = DatasetKind::Miranda.generate(Dims::d3(40, 36, 33), 7);
         let cfg = SzhiConfig::new(ErrorBound::Relative(1e-3)).with_chunk_span([16, 16, 16]);
         let v3 = compress(&g, &cfg).unwrap();
-        let (header, table) = crate::format::read_stream_chunked(&v3).unwrap();
+        let (header, table) = crate::format::read_chunk_table(&v3).unwrap();
         let chunks: Vec<_> = (0..table.entries.len())
             .map(|i| {
                 (
@@ -732,7 +732,7 @@ mod tests {
         let g = DatasetKind::Qmcpack.generate(Dims::d3(20, 20, 20), 3);
         let cfg = SzhiConfig::new(ErrorBound::Relative(1e-2)).with_chunk_span([16, 16, 16]);
         let v3 = compress(&g, &cfg).unwrap();
-        let (header, table) = crate::format::read_stream_chunked(&v3).unwrap();
+        let (header, table) = crate::format::read_chunk_table(&v3).unwrap();
         let chunks: Vec<_> = (0..table.entries.len())
             .map(|i| {
                 (
@@ -742,7 +742,7 @@ mod tests {
             })
             .collect();
         let bytes = crate::format::write_stream_v4(&header, table.span, &chunks);
-        let (_, t4) = crate::format::read_stream_trailered(&bytes).unwrap();
+        let (_, t4) = crate::format::read_chunk_table(&bytes).unwrap();
         let data_start = t4.data_start;
         let data_len: usize = chunks.iter().map(|(_, b)| b.len()).sum();
         let table_start = data_start + data_len;

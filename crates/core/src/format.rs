@@ -93,21 +93,25 @@
 //! anchor stride along every non-degenerate axis (or the whole axis).
 //! Offsets are relative to the start of the chunk data area, must be
 //! non-decreasing and non-overlapping, and every `(offset, length)` extent
-//! must lie inside the data area — all of which [`read_stream_chunked`] and
-//! [`read_stream_trailered`] enforce with typed errors before any chunk is
-//! touched. For v3/v4 streams a chunk body whose CRC32 disagrees with its
-//! table entry is rejected with [`SzhiError::ChunkChecksum`] by
-//! [`ChunkTable::verified_chunk_slice`]; a v4 chunk table whose bytes
-//! disagree with the trailer's CRC32 is rejected with
-//! [`SzhiError::TableChecksum`] before any entry is parsed.
+//! must lie inside the data area — all of which the one chunk-table parser
+//! behind [`read_chunk_table`] and every reader enforces with typed errors
+//! before any chunk is touched. It reads the stream through a small
+//! byte-fetch abstraction, so an in-memory slice, a seekable reader and a
+//! forward-only reader are validated by the same code in the same order.
+//! For v3+ streams a chunk body whose CRC32 disagrees with its table entry
+//! is rejected with [`SzhiError::ChunkChecksum`] before any lossless
+//! decoder sees it; a v4/v5 table region whose bytes disagree with the
+//! trailer's CRC32 is rejected with [`SzhiError::TableChecksum`] before
+//! any entry is parsed.
 
 use crate::error::SzhiError;
+use std::borrow::Cow;
 use szhi_codec::bitio::{
     decode_capacity, put_f32, put_f64, put_u16, put_u32, put_u64, put_u8, ByteCursor,
 };
 use szhi_codec::checksum::crc32;
 use szhi_codec::PipelineSpec;
-use szhi_ndgrid::{ChunkPlan, Dims};
+use szhi_ndgrid::{ChunkPlan, Dims, Region};
 use szhi_predictor::{InterpConfig, LevelConfig, Outlier, Scheme, Spline};
 
 /// Magic bytes identifying a szhi stream.
@@ -453,7 +457,7 @@ pub type StreamSections = (Header, Vec<f32>, Vec<Outlier>, Vec<u8>);
 pub type SectionBody = (Vec<f32>, Vec<Outlier>, Vec<u8>);
 
 /// Checks the magic and consumes the version byte.
-pub(crate) fn read_magic_version(cur: &mut ByteCursor<'_>) -> Result<u8, SzhiError> {
+fn read_magic_version(cur: &mut ByteCursor<'_>) -> Result<u8, SzhiError> {
     let magic = cur
         .take(4)
         .map_err(|_| SzhiError::InvalidStream("stream too short for magic".into()))?;
@@ -494,7 +498,7 @@ pub fn read_stream(bytes: &[u8]) -> Result<StreamSections, SzhiError> {
 }
 
 /// Parses the shared header fields following the version byte.
-pub(crate) fn read_header_fields(cur: &mut ByteCursor<'_>) -> Result<Header, SzhiError> {
+fn read_header_fields(cur: &mut ByteCursor<'_>) -> Result<Header, SzhiError> {
     let rank = cur.get_u8().map_err(SzhiError::from)? as usize;
     let nz = cur.get_u64().map_err(SzhiError::from)? as usize;
     let ny = cur.get_u64().map_err(SzhiError::from)? as usize;
@@ -643,6 +647,29 @@ pub struct ChunkEntry {
     pub checksum: Option<u32>,
 }
 
+impl ChunkEntry {
+    /// Checks the fetched body of chunk `index` against the CRC32 this
+    /// entry records, before any lossless decoder sees the bytes: a
+    /// mismatch is [`SzhiError::ChunkChecksum`]. v2 entries carry no
+    /// checksum, so their bodies pass unchecked. Every read path verifies
+    /// here, inside the `decode.crc` span.
+    pub(crate) fn verify(&self, index: usize, body: &[u8]) -> Result<(), SzhiError> {
+        let Some(stored) = self.checksum else {
+            return Ok(());
+        };
+        let _span = crate::telemetry::DECODE_CRC.enter();
+        let computed = crc32(body);
+        if computed != stored {
+            return Err(SzhiError::ChunkChecksum {
+                index,
+                stored,
+                computed,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// The parsed chunk table of any chunk-bearing container: the chunk span
 /// plus one [`ChunkEntry`] per chunk, with extents relative to the chunk
 /// data area, whose absolute stream offset is `data_start`. For tuned (v5)
@@ -675,147 +702,372 @@ impl ChunkTable {
     /// time, so indexing the dictionary cannot fail on a parsed table.
     pub fn chunk_interp(&self, header: &Header, i: usize) -> InterpConfig {
         // szhi-analyzer: allow(panic-reachability) -- documented `# Panics` contract; chunk indices come from the reader's own table and config ids are validated at parse time
-        resolve_chunk_interp(header, self.entries[i].config, &self.configs)
+        match self.entries[i].config {
+            Some(id) => InterpConfig {
+                anchor_stride: header.interp.anchor_stride,
+                block_span: header.interp.block_span,
+                // szhi-analyzer: allow(panic-reachability) -- config ids are validated against the dictionary at parse time
+                levels: self.configs[id as usize].clone(),
+            },
+            None => header.interp.clone(),
+        }
     }
+
     /// The byte slice of chunk `i` within `bytes` (the full stream),
-    /// **without** checksum verification. Prefer
-    /// [`ChunkTable::verified_chunk_slice`] for untrusted streams.
+    /// **without** checksum verification; the readers verify every body
+    /// against its CRC32 before decoding it.
     pub fn chunk_slice<'a>(&self, bytes: &'a [u8], i: usize) -> &'a [u8] {
         let e = &self.entries[i];
         &bytes[self.data_start + e.offset..self.data_start + e.offset + e.len]
     }
+}
 
-    /// The byte slice of chunk `i`, verified against the chunk's CRC32
-    /// first when the stream carries one (v3). A mismatch — i.e. any
-    /// corruption of the chunk body after compression — surfaces as
-    /// [`SzhiError::ChunkChecksum`] *before* any lossless decoder sees the
-    /// bytes. For v2 streams (no checksums) this is [`Self::chunk_slice`].
-    pub fn verified_chunk_slice<'a>(
-        &self,
-        bytes: &'a [u8],
-        i: usize,
-    ) -> Result<&'a [u8], SzhiError> {
-        let e = self
-            .entries
-            .get(i)
-            .ok_or_else(|| SzhiError::InvalidStream(format!("chunk index {i} out of range")))?;
-        let start = self.data_start + e.offset;
-        let slice = bytes.get(start..start + e.len).ok_or_else(|| {
-            SzhiError::InvalidStream(format!("chunk {i} extends past the stream"))
-        })?;
-        if let Some(stored) = e.checksum {
-            let computed = crc32(slice);
-            if computed != stored {
-                return Err(SzhiError::ChunkChecksum {
-                    index: i,
-                    stored,
-                    computed,
-                });
-            }
-        }
-        Ok(slice)
+/// Byte access to a stream, for the one chunk-table parser
+/// ([`parse_chunk_table`]) and the chunk reads behind it. The readers in
+/// [`crate::stream`] are its three strategies: an in-memory slice, a
+/// seekable reader, and a forward-only reader.
+pub(crate) trait Fetch {
+    /// Exactly the `len` bytes at stream offset `at`; a stream that ends
+    /// first is a typed error naming `what`.
+    fn fetch(&mut self, at: u64, len: u64, what: &str) -> Result<Cow<'_, [u8]>, SzhiError>;
+
+    /// The stream length when it is known without consuming the stream:
+    /// `None` for a forward-only reader that has not reached its end.
+    fn known_len(&self) -> Option<u64>;
+
+    /// The stream length. A forward-only reader learns it by draining the
+    /// stream to EOF, after which it serves every fetch from that buffer.
+    fn drain_len(&mut self) -> Result<u64, SzhiError>;
+
+    /// Records one fetched chunk body of `len` bytes in the strategy's I/O
+    /// counters.
+    fn count_body(_len: usize) {}
+}
+
+/// The in-memory fetch strategy: every fetch borrows from the slice.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slice<'a>(pub(crate) &'a [u8]);
+
+impl<'a> Slice<'a> {
+    /// `self[at..at + len]`, or a typed error when the slice ends first.
+    pub(crate) fn bytes_at(self, at: u64, len: u64, what: &str) -> Result<&'a [u8], SzhiError> {
+        let range = at.checked_add(len).and_then(|end| {
+            let start = usize::try_from(at).ok()?;
+            Some(start..usize::try_from(end).ok()?)
+        });
+        range
+            .and_then(|r| self.0.get(r))
+            .ok_or_else(|| SzhiError::InvalidStream(format!("the stream ends inside {what}")))
     }
 }
 
-/// Resolves the interpolation configuration a chunk was compressed with:
-/// the dictionary entry its table entry names (v5), or the header's
-/// configuration (every other version). The anchor stride and block span
-/// always come from the header — only the per-level selections vary per
-/// chunk. Shared by [`ChunkTable::chunk_interp`] and the io-backed
-/// [`StreamSource`](crate::stream::StreamSource), so the resolution rule
-/// exists exactly once.
-pub(crate) fn resolve_chunk_interp(
-    header: &Header,
-    config: Option<u16>,
-    configs: &[Vec<LevelConfig>],
-) -> InterpConfig {
-    match config {
-        Some(id) => InterpConfig {
-            anchor_stride: header.interp.anchor_stride,
-            block_span: header.interp.block_span,
-            // szhi-analyzer: allow(no-panic-decode, panic-reachability) -- config ids are validated against the dictionary at parse time
-            levels: configs[id as usize].clone(),
-        },
-        None => header.interp.clone(),
+impl Fetch for Slice<'_> {
+    fn fetch(&mut self, at: u64, len: u64, what: &str) -> Result<Cow<'_, [u8]>, SzhiError> {
+        self.bytes_at(at, len, what).map(Cow::Borrowed)
+    }
+
+    fn known_len(&self) -> Option<u64> {
+        Some(self.0.len() as u64)
+    }
+
+    fn drain_len(&mut self) -> Result<u64, SzhiError> {
+        Ok(self.0.len() as u64)
     }
 }
 
-/// Parses the header and chunk table of a chunked (v2) stream. A thin
-/// wrapper over [`read_stream_chunked`] that additionally rejects every
-/// other container version.
-pub fn read_stream_v2(bytes: &[u8]) -> Result<(Header, ChunkTable), SzhiError> {
-    expect_chunked_version(bytes, VERSION_CHUNKED)?;
-    read_stream_chunked(bytes)
+/// The validated index of a chunk-bearing container (v2–v5): its version,
+/// header, chunk table and chunk plan, built once by the one chunk-table
+/// parser.
+///
+/// Every reader — [`StreamReader`](crate::StreamReader) over a slice,
+/// [`StreamSource`](crate::StreamSource) over a seekable reader,
+/// [`ForwardSource`](crate::ForwardSource) over a forward-only one — is a
+/// fetch strategy over this index and dereferences to it, so the
+/// accessors below are shared by all three, and every chunk any of them
+/// decodes goes through the same fetch → CRC32 check → decode path.
+#[derive(Debug)]
+pub struct ChunkIndex {
+    pub(crate) version: u8,
+    pub(crate) header: Header,
+    pub(crate) table: ChunkTable,
+    pub(crate) plan: ChunkPlan,
 }
 
-/// Parses the header and chunk table of a streamed (v3) stream. A thin
-/// wrapper over [`read_stream_chunked`] that additionally rejects every
-/// other container version.
-pub fn read_stream_v3(bytes: &[u8]) -> Result<(Header, ChunkTable), SzhiError> {
-    expect_chunked_version(bytes, VERSION_STREAMED)?;
-    read_stream_chunked(bytes)
-}
-
-fn expect_chunked_version(bytes: &[u8], expected: u8) -> Result<(), SzhiError> {
-    let version = read_magic_version(&mut ByteCursor::new(bytes))?;
-    if version != expected {
-        return Err(SzhiError::InvalidStream(format!(
-            "expected a v{expected} stream, found version {version}"
-        )));
+impl ChunkIndex {
+    /// The container version of the stream (2, 3, 4 or 5).
+    pub fn version(&self) -> u8 {
+        self.version
     }
-    Ok(())
+
+    /// The parsed stream header.
+    pub fn header(&self) -> &Header {
+        &self.header
+    }
+
+    /// Shape of the full field the stream encodes.
+    pub fn dims(&self) -> Dims {
+        self.header.dims
+    }
+
+    /// Chunk span per axis `(z, y, x)`.
+    pub fn span(&self) -> [usize; 3] {
+        self.table.span
+    }
+
+    /// The chunk partition of the stream.
+    pub fn plan(&self) -> &ChunkPlan {
+        &self.plan
+    }
+
+    /// Number of chunks in the stream.
+    pub fn chunk_count(&self) -> usize {
+        self.table.entries.len()
+    }
+
+    /// The region of the original field chunk `index` covers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range (see [`ChunkIndex::chunk_count`]).
+    pub fn chunk_region(&self, index: usize) -> Region {
+        self.plan.chunk_at(index)
+    }
+
+    /// The lossless pipeline that encoded chunk `index` (from the v3+ mode
+    /// byte; for v2 streams, the header's global pipeline), or a typed
+    /// error when `index` is out of range.
+    pub fn chunk_pipeline(&self, index: usize) -> Result<PipelineSpec, SzhiError> {
+        self.entry(index).map(|e| e.pipeline)
+    }
+
+    /// The interpolation configuration chunk `index` was compressed with:
+    /// its config-dictionary entry for tuned (v5) streams, the header's
+    /// configuration for every other version; a typed error when `index`
+    /// is out of range.
+    pub fn chunk_interp(&self, index: usize) -> Result<InterpConfig, SzhiError> {
+        self.entry(index)?;
+        Ok(self.table.chunk_interp(&self.header, index))
+    }
+
+    /// The table entry of chunk `index`, or a typed error when out of
+    /// range.
+    pub(crate) fn entry(&self, index: usize) -> Result<&ChunkEntry, SzhiError> {
+        self.table.entries.get(index).ok_or_else(|| {
+            SzhiError::InvalidInput(format!(
+                "chunk index {index} out of range for a stream of {} chunks",
+                self.chunk_count()
+            ))
+        })
+    }
 }
 
-/// Parses the header and chunk table of a chunked (v2) or streamed (v3)
-/// stream, validating the chunk span (alignment rule, plan consistency)
-/// and every table extent (in-bounds, non-overlapping, non-decreasing)
-/// before any chunk data is touched. For v3 tables the per-chunk pipeline
-/// id must name a known pipeline; checksums are *recorded* here and
-/// verified lazily by [`ChunkTable::verified_chunk_slice`], so parsing the
-/// table stays O(table), not O(stream).
-pub fn read_stream_chunked(bytes: &[u8]) -> Result<(Header, ChunkTable), SzhiError> {
-    let mut cur = ByteCursor::new(bytes);
-    let version = read_magic_version(&mut cur)?;
-    if version != VERSION_CHUNKED && version != VERSION_STREAMED {
-        return Err(SzhiError::InvalidStream(format!(
-            "expected a chunked (v{VERSION_CHUNKED}) or streamed (v{VERSION_STREAMED}) \
-             stream, found version {version}"
-        )));
-    }
+/// Parses and validates the header and chunk table of any chunk-bearing
+/// container (v2 chunked, v3 streamed, v4 trailered, v5 tuned) through
+/// `src`. This is the only chunk-table parser: every reader builds its
+/// index here, so all of them accept exactly the same streams with the
+/// same typed errors.
+///
+/// Validation order: magic and version (monolithic v1 streams and unknown
+/// versions are rejected first), header, chunk span and plan; then for
+/// v4/v5 the trailer magic and geometry ([`SzhiError::TrailerCorrupt`]),
+/// the table-region CRC32 ([`SzhiError::TableChecksum`]), the v5 config
+/// dictionary and the entries; for v2/v3 the chunk count and the entries;
+/// every entry's extent last. Chunk checksums are only *recorded* here and
+/// verified as each body is read, so parsing stays O(table), not O(stream).
+pub(crate) fn parse_chunk_table<F: Fetch>(src: &mut F) -> Result<ChunkIndex, SzhiError> {
+    // The fixed header prefix runs through the level count at offset 48
+    // (see docs/FORMAT.md); the levels and the chunk span follow it.
+    let mut head = src.fetch(0, 49, "the stream header")?.into_owned();
+    let version = read_magic_version(&mut ByteCursor::new(&head))?;
+    reject_unchunked_version(version)?;
+    let n_levels = u64::from(head.last().copied().unwrap_or(0));
+    let rest = src.fetch(49, 2 * n_levels + 12, "the predictor levels and chunk span")?;
+    head.extend_from_slice(&rest);
+    let mut cur = ByteCursor::new(&head);
+    read_magic_version(&mut cur)?;
     let header = read_header_fields(&mut cur)?;
     let span = read_span(&mut cur)?;
     let plan = validated_plan(&header, span)?;
-    let entry_size = if version == VERSION_STREAMED {
+    let mut index = ChunkIndex {
+        version,
+        header,
+        plan,
+        table: ChunkTable {
+            span,
+            entries: Vec::new(),
+            data_start: head.len(),
+            configs: Vec::new(),
+        },
+    };
+    if version == VERSION_TRAILERED || version == VERSION_TUNED {
+        trailing_table(src, &mut index)?;
+    } else {
+        leading_table(src, &mut index)?;
+    }
+    Ok(index)
+}
+
+/// Fills in the v2/v3 chunk table, which sits directly after the chunk
+/// span (where `index`'s data area provisionally starts) and precedes the
+/// real data area. A forward-only source does not know where the data
+/// area ends, so its extents are checked against the largest possible
+/// area; a chunk that claims bytes past the true end fails as a typed
+/// error when its body is read.
+fn leading_table<F: Fetch>(src: &mut F, index: &mut ChunkIndex) -> Result<(), SzhiError> {
+    let table_at = index.table.data_start as u64;
+    let n_chunks = ByteCursor::new(&src.fetch(table_at, 8, "the chunk count")?)
+        .get_u64()
+        .map_err(SzhiError::from)?;
+    let entry_size = if index.version == VERSION_STREAMED {
         V3_ENTRY_SIZE
     } else {
         V2_ENTRY_SIZE
-    };
-    let n_chunks = checked_count(&mut cur, entry_size, "chunk table")?;
-    if n_chunks != plan.len() {
+    } as u64;
+    let stream_len = src.known_len();
+    if let Some(len) = stream_len {
+        // Reject a corrupt count before it can size an allocation.
+        let remaining = len.saturating_sub(table_at + 8);
+        if n_chunks
+            .checked_mul(entry_size)
+            .is_none_or(|b| b > remaining)
+        {
+            return Err(SzhiError::InvalidStream(format!(
+                "chunk table count {n_chunks} exceeds the {remaining} bytes left in the stream"
+            )));
+        }
+    }
+    let plan = &index.plan;
+    if n_chunks != plan.len() as u64 {
         return Err(SzhiError::InvalidStream(format!(
-            "chunk table lists {n_chunks} chunks, the {} field at span {span:?} has {}",
-            header.dims,
+            "chunk table lists {n_chunks} chunks, the {} field at span {:?} has {}",
+            index.header.dims,
+            plan.span(),
             plan.len()
         )));
     }
-    let raw = read_raw_entries(&mut cur, version, n_chunks, header.pipeline, 0)?;
-    let data_start = cur.position();
-    let data_len = cur.remaining() as u64;
-    let entries = validate_extents(raw, data_len)?;
-    Ok((
-        header,
-        ChunkTable {
-            span,
-            entries,
-            data_start,
-            configs: Vec::new(),
-        },
-    ))
+    let table_len = n_chunks * entry_size;
+    let table = src.fetch(table_at + 8, table_len, "the chunk table")?;
+    let mut cur = ByteCursor::new(&table);
+    let pipeline = index.header.pipeline;
+    let raw = read_raw_entries(&mut cur, index.version, plan.len(), pipeline, 0)?;
+    let data_start = table_at + 8 + table_len;
+    let data_len = stream_len.map_or(u64::MAX, |len| len.saturating_sub(data_start));
+    index.table.entries = validate_extents(raw, data_len)?;
+    index.table.data_start = data_start as usize;
+    Ok(())
+}
+
+/// Fills in the v4/v5 table region, which sits behind the data area (at
+/// `index`'s data start) and is located by the fixed-size trailer at the
+/// end of the stream: trailer magic and geometry first, then the region
+/// CRC32, then (v5) the config dictionary, then the entries. A v4 region
+/// is exactly its entries; a v5 region opens with the dictionary, whose
+/// size is only known once parsed, so its geometry check is a lower bound
+/// until the exact-size check after the dictionary.
+fn trailing_table<F: Fetch>(src: &mut F, index: &mut ChunkIndex) -> Result<(), SzhiError> {
+    let (version, data_start) = (index.version, index.table.data_start as u64);
+    let len = src.drain_len()?;
+    let trailer_size = TRAILER_SIZE as u64;
+    if len < data_start + trailer_size {
+        return Err(SzhiError::TrailerCorrupt(format!(
+            "stream of {len} bytes is too short for a {TRAILER_SIZE}-byte trailer"
+        )));
+    }
+    let trailer_start = len - trailer_size;
+    let tail = src.fetch(trailer_start, trailer_size, "the trailer")?;
+    let (magic, entry_size, dict_min) = if version == VERSION_TUNED {
+        (&TRAILER_MAGIC_V5, V5_ENTRY_SIZE as u64, 2)
+    } else {
+        (&TRAILER_MAGIC, V3_ENTRY_SIZE as u64, 0)
+    };
+    if tail.get(20..24) != Some(magic.as_slice()) {
+        return Err(SzhiError::TrailerCorrupt(format!(
+            "bad trailer magic (a v{version} stream must end in {:?})",
+            std::str::from_utf8(magic).unwrap_or("?")
+        )));
+    }
+    let mut cur = ByteCursor::new(&tail);
+    let table_offset = cur.get_u64().map_err(SzhiError::from)?;
+    let n_chunks = cur.get_u64().map_err(SzhiError::from)?;
+    let table_crc = cur.get_u32().map_err(SzhiError::from)?;
+    let plan_len = index.plan.len();
+    if n_chunks != plan_len as u64 {
+        return Err(SzhiError::TrailerCorrupt(format!(
+            "trailer lists {n_chunks} chunks, the plan has {plan_len}"
+        )));
+    }
+    let min_len = n_chunks
+        .checked_mul(entry_size)
+        .and_then(|t| t.checked_add(dict_min))
+        .ok_or_else(|| SzhiError::TrailerCorrupt("chunk count overflows the table size".into()))?;
+    let region_len = trailer_start
+        .checked_sub(table_offset)
+        .filter(|&r| r == min_len || (version == VERSION_TUNED && r > min_len));
+    let Some(region_len) = region_len.filter(|_| table_offset >= data_start) else {
+        return Err(SzhiError::TrailerCorrupt(format!(
+            "table offset {table_offset} cannot place the table region of {n_chunks} entries \
+             before the trailer (data starts at {data_start}, trailer at {trailer_start})"
+        )));
+    };
+    let region = src.fetch(table_offset, region_len, "the table region")?;
+    let computed = crc32(&region);
+    if computed != table_crc {
+        return Err(SzhiError::TableChecksum {
+            stored: table_crc,
+            computed,
+        });
+    }
+    let mut cur = ByteCursor::new(&region);
+    let mut configs = Vec::new();
+    if version == VERSION_TUNED {
+        // The dictionary: every config's level count must match the
+        // header's, and its scheme/spline bytes must name known values.
+        let n_configs = cur.get_u16().map_err(SzhiError::from)? as usize;
+        // Every config needs at least its count byte; reject absurd
+        // counts before allocating.
+        if n_configs > cur.remaining() {
+            return Err(SzhiError::InvalidStream(format!(
+                "config dictionary count {n_configs} exceeds the {} bytes left in the table \
+                 region",
+                cur.remaining()
+            )));
+        }
+        let expected_levels = index.header.interp.levels.len();
+        configs.reserve(decode_capacity(n_configs));
+        for c in 0..n_configs {
+            let n_levels = cur.get_u8().map_err(SzhiError::from)? as usize;
+            if n_levels != expected_levels {
+                return Err(SzhiError::InvalidStream(format!(
+                    "config {c} has {n_levels} levels, the header's anchor stride implies \
+                     {expected_levels}"
+                )));
+            }
+            let mut levels = Vec::with_capacity(decode_capacity(n_levels));
+            for _ in 0..n_levels {
+                let scheme = scheme_from(cur.get_u8().map_err(SzhiError::from)?)?;
+                let spline = spline_from(cur.get_u8().map_err(SzhiError::from)?)?;
+                levels.push(LevelConfig { scheme, spline });
+            }
+            configs.push(levels);
+        }
+    }
+    if cur.remaining() as u64 != n_chunks * entry_size {
+        return Err(SzhiError::InvalidStream(format!(
+            "{} bytes follow the config dictionary, a {n_chunks}-entry table needs {}",
+            cur.remaining(),
+            n_chunks * entry_size
+        )));
+    }
+    let pipeline = index.header.pipeline;
+    let raw = read_raw_entries(&mut cur, version, plan_len, pipeline, configs.len())?;
+    index.table.entries = validate_extents(raw, table_offset - data_start)?;
+    index.table.configs = configs;
+    Ok(())
 }
 
 /// Parses the chunk span (3×u32) following the shared header, rejecting a
 /// zero axis.
-pub(crate) fn read_span(cur: &mut ByteCursor<'_>) -> Result<[usize; 3], SzhiError> {
+fn read_span(cur: &mut ByteCursor<'_>) -> Result<[usize; 3], SzhiError> {
     let mut span = [0usize; 3];
     for s in span.iter_mut() {
         *s = cur.get_u32().map_err(SzhiError::from)? as usize;
@@ -830,7 +1082,7 @@ pub(crate) fn read_span(cur: &mut ByteCursor<'_>) -> Result<[usize; 3], SzhiErro
 
 /// Validates a stored chunk span against the header (normalisation and the
 /// chunk-alignment rule) and returns the resulting plan.
-pub(crate) fn validated_plan(header: &Header, span: [usize; 3]) -> Result<ChunkPlan, SzhiError> {
+fn validated_plan(header: &Header, span: [usize; 3]) -> Result<ChunkPlan, SzhiError> {
     let plan = ChunkPlan::new(header.dims, span);
     if plan.span() != span {
         return Err(SzhiError::InvalidStream(format!(
@@ -849,7 +1101,7 @@ pub(crate) fn validated_plan(header: &Header, span: [usize; 3]) -> Result<ChunkP
 }
 
 /// One chunk-table entry as stored, before extent validation.
-pub(crate) struct RawChunkEntry {
+struct RawChunkEntry {
     offset: u64,
     len: u64,
     pipeline: PipelineSpec,
@@ -864,7 +1116,7 @@ pub(crate) struct RawChunkEntry {
 /// Unknown pipeline ids are the typed [`SzhiError::UnknownPipelineId`];
 /// for v5, a config id at or beyond `n_configs` is the typed
 /// [`SzhiError::UnknownConfigId`].
-pub(crate) fn read_raw_entries(
+fn read_raw_entries(
     cur: &mut ByteCursor<'_>,
     version: u8,
     n_chunks: usize,
@@ -914,10 +1166,7 @@ pub(crate) fn read_raw_entries(
 /// Validates raw chunk-table extents against a data area of `data_len`
 /// bytes — in-bounds, non-overlapping, non-decreasing, no u64 wraparound —
 /// and produces the typed entries.
-pub(crate) fn validate_extents(
-    raw: Vec<RawChunkEntry>,
-    data_len: u64,
-) -> Result<Vec<ChunkEntry>, SzhiError> {
+fn validate_extents(raw: Vec<RawChunkEntry>, data_len: u64) -> Result<Vec<ChunkEntry>, SzhiError> {
     let mut entries = Vec::with_capacity(decode_capacity(raw.len()));
     let mut prev_end = 0u64;
     for (i, entry) in raw.into_iter().enumerate() {
@@ -953,281 +1202,10 @@ pub(crate) fn validate_extents(
     Ok(entries)
 }
 
-/// The parsed fields of a v4/v5 trailer: the absolute chunk-table offset,
-/// the chunk count and the CRC32 of the table region (for v5, the config
-/// dictionary plus the entries).
-pub(crate) struct Trailer {
-    /// Absolute stream offset of the chunk table.
-    pub table_offset: u64,
-    /// Number of chunk-table entries.
-    pub n_chunks: u64,
-    /// CRC32 of the chunk-table bytes.
-    pub table_crc: u32,
-}
-
-/// Parses the fixed-size v4/v5 trailer from its [`TRAILER_SIZE`] bytes,
-/// validating the version's closing magic (`"SZT4"` for trailered v4
-/// streams, `"SZT5"` for tuned v5 streams).
-pub(crate) fn parse_trailer(tail: &[u8], version: u8) -> Result<Trailer, SzhiError> {
-    debug_assert_eq!(tail.len(), TRAILER_SIZE);
-    let expected: &[u8] = if version == VERSION_TUNED {
-        &TRAILER_MAGIC_V5
-    } else {
-        &TRAILER_MAGIC
-    };
-    if tail.get(20..24) != Some(expected) {
-        return Err(SzhiError::TrailerCorrupt(format!(
-            "bad trailer magic (a v{version} stream must end in {:?})",
-            std::str::from_utf8(expected).unwrap_or("?")
-        )));
-    }
-    let mut cur = ByteCursor::new(tail);
-    let table_offset = cur.get_u64().map_err(SzhiError::from)?;
-    let n_chunks = cur.get_u64().map_err(SzhiError::from)?;
-    let table_crc = cur.get_u32().map_err(SzhiError::from)?;
-    Ok(Trailer {
-        table_offset,
-        n_chunks,
-        table_crc,
-    })
-}
-
-/// Validates a v4 trailer against the stream geometry: the chunk count
-/// must match the plan, and the table must sit exactly between the data
-/// area and the trailer. Returns the table length in bytes.
-pub(crate) fn validate_trailer_geometry(
-    trailer: &Trailer,
-    plan_len: usize,
-    data_start: u64,
-    trailer_start: u64,
-) -> Result<u64, SzhiError> {
-    if trailer.n_chunks != plan_len as u64 {
-        return Err(SzhiError::TrailerCorrupt(format!(
-            "trailer lists {} chunks, the plan has {plan_len}",
-            trailer.n_chunks
-        )));
-    }
-    let table_len = trailer
-        .n_chunks
-        .checked_mul(V3_ENTRY_SIZE as u64)
-        .ok_or_else(|| SzhiError::TrailerCorrupt("chunk count overflows the table size".into()))?;
-    let table_end = trailer.table_offset.checked_add(table_len);
-    if trailer.table_offset < data_start || table_end != Some(trailer_start) {
-        return Err(SzhiError::TrailerCorrupt(format!(
-            "table offset {} does not place a {}-entry table directly before the trailer \
-             (data starts at {data_start}, trailer at {trailer_start})",
-            trailer.table_offset, trailer.n_chunks
-        )));
-    }
-    Ok(table_len)
-}
-
-/// Parses the header and chunk table of a trailered (v4) or tuned (v5)
-/// stream held in memory: the header and span are read from the front, the
-/// trailer from the fixed-size tail, and the chunk table (preceded, for
-/// v5, by the config dictionary) from where the trailer points — verified
-/// against the trailer's CRC32 *before* any entry is parsed. The data area
-/// is everything between the span and the table region.
-pub fn read_stream_trailered(bytes: &[u8]) -> Result<(Header, ChunkTable), SzhiError> {
-    let mut cur = ByteCursor::new(bytes);
-    let version = read_magic_version(&mut cur)?;
-    if version != VERSION_TRAILERED && version != VERSION_TUNED {
-        return Err(SzhiError::InvalidStream(format!(
-            "expected a trailered (v{VERSION_TRAILERED}) or tuned (v{VERSION_TUNED}) stream, \
-             found version {version}"
-        )));
-    }
-    let header = read_header_fields(&mut cur)?;
-    let span = read_span(&mut cur)?;
-    let plan = validated_plan(&header, span)?;
-    let data_start = cur.position();
-    if bytes.len() < data_start + TRAILER_SIZE {
-        return Err(SzhiError::TrailerCorrupt(format!(
-            "stream of {} bytes is too short for a {TRAILER_SIZE}-byte trailer",
-            bytes.len()
-        )));
-    }
-    let trailer_start = bytes.len() - TRAILER_SIZE;
-    let tail = bytes
-        .get(trailer_start..)
-        .ok_or_else(|| SzhiError::TrailerCorrupt("stream too short for a trailer".into()))?;
-    let trailer = parse_trailer(tail, version)?;
-    let (entries, configs) = if version == VERSION_TRAILERED {
-        validate_trailer_geometry(
-            &trailer,
-            plan.len(),
-            data_start as u64,
-            trailer_start as u64,
-        )?;
-        let table_bytes = bytes
-            .get(trailer.table_offset as usize..trailer_start)
-            .ok_or_else(|| SzhiError::TrailerCorrupt("table region out of bounds".into()))?;
-        let entries =
-            parse_trailered_entries(table_bytes, &trailer, data_start as u64, header.pipeline)?;
-        (entries, Vec::new())
-    } else {
-        validate_tuned_geometry(
-            &trailer,
-            plan.len(),
-            data_start as u64,
-            trailer_start as u64,
-        )?;
-        let region = bytes
-            .get(trailer.table_offset as usize..trailer_start)
-            .ok_or_else(|| SzhiError::TrailerCorrupt("table region out of bounds".into()))?;
-        parse_tuned_region(region, &trailer, data_start as u64, &header)?
-    };
-    Ok((
-        header,
-        ChunkTable {
-            span,
-            entries,
-            data_start,
-            configs,
-        },
-    ))
-}
-
-/// Verifies geometry-validated v4 chunk-table bytes against the trailer's
-/// CRC32, then parses and extent-validates the entries — shared by the
-/// slice-based [`read_stream_trailered`] and the io-backed
-/// [`StreamSource`](crate::stream::StreamSource), so the two readers accept
-/// exactly the same streams.
-pub(crate) fn parse_trailered_entries(
-    table_bytes: &[u8],
-    trailer: &Trailer,
-    data_start: u64,
-    header_pipeline: PipelineSpec,
-) -> Result<Vec<ChunkEntry>, SzhiError> {
-    let computed = crc32(table_bytes);
-    if computed != trailer.table_crc {
-        return Err(SzhiError::TableChecksum {
-            stored: trailer.table_crc,
-            computed,
-        });
-    }
-    let mut cur = ByteCursor::new(table_bytes);
-    let raw = read_raw_entries(
-        &mut cur,
-        VERSION_TRAILERED,
-        trailer.n_chunks as usize,
-        header_pipeline,
-        0,
-    )?;
-    validate_extents(raw, trailer.table_offset - data_start)
-}
-
-/// Validates a v5 trailer against the stream geometry. Unlike the v4 check
-/// the exact table length cannot be known yet — the config dictionary's
-/// size is part of the CRC-protected region — so this validates the chunk
-/// count and that the region between `table_offset` and the trailer can at
-/// least hold the dictionary count plus the entries; the exact-size check
-/// happens in [`parse_tuned_region`] after the dictionary is parsed.
-pub(crate) fn validate_tuned_geometry(
-    trailer: &Trailer,
-    plan_len: usize,
-    data_start: u64,
-    trailer_start: u64,
-) -> Result<(), SzhiError> {
-    if trailer.n_chunks != plan_len as u64 {
-        return Err(SzhiError::TrailerCorrupt(format!(
-            "trailer lists {} chunks, the plan has {plan_len}",
-            trailer.n_chunks
-        )));
-    }
-    let min_len = trailer
-        .n_chunks
-        .checked_mul(V5_ENTRY_SIZE as u64)
-        .and_then(|t| t.checked_add(2))
-        .ok_or_else(|| SzhiError::TrailerCorrupt("chunk count overflows the table size".into()))?;
-    if trailer.table_offset < data_start
-        || trailer.table_offset > trailer_start
-        || trailer_start - trailer.table_offset < min_len
-    {
-        return Err(SzhiError::TrailerCorrupt(format!(
-            "table offset {} cannot place a config dictionary and {}-entry table before the \
-             trailer (data starts at {data_start}, trailer at {trailer_start})",
-            trailer.table_offset, trailer.n_chunks
-        )));
-    }
-    Ok(())
-}
-
-/// Verifies a geometry-validated v5 table region (config dictionary +
-/// chunk table) against the trailer's CRC32, then parses the dictionary
-/// and the entries — shared by the slice-based [`read_stream_trailered`]
-/// and the io-backed [`StreamSource`](crate::stream::StreamSource).
-///
-/// Validation order inside the region: CRC32 first
-/// ([`SzhiError::TableChecksum`]), then the dictionary (level count must
-/// match the header, scheme/spline bytes must name known values), then the
-/// exact-size check (dictionary + entries must fill the region exactly),
-/// then the entries (unknown pipeline/config ids are their dedicated typed
-/// errors, extents the usual invalid-stream errors).
-pub(crate) fn parse_tuned_region(
-    region: &[u8],
-    trailer: &Trailer,
-    data_start: u64,
-    header: &Header,
-) -> Result<(Vec<ChunkEntry>, Vec<Vec<LevelConfig>>), SzhiError> {
-    let computed = crc32(region);
-    if computed != trailer.table_crc {
-        return Err(SzhiError::TableChecksum {
-            stored: trailer.table_crc,
-            computed,
-        });
-    }
-    let mut cur = ByteCursor::new(region);
-    let n_configs = cur.get_u16().map_err(SzhiError::from)? as usize;
-    // Every config needs at least its count byte; reject absurd counts
-    // before allocating.
-    if n_configs > cur.remaining() {
-        return Err(SzhiError::InvalidStream(format!(
-            "config dictionary count {n_configs} exceeds the {} bytes left in the table region",
-            cur.remaining()
-        )));
-    }
-    let expected_levels = header.interp.levels.len();
-    let mut configs = Vec::with_capacity(decode_capacity(n_configs));
-    for c in 0..n_configs {
-        let n_levels = cur.get_u8().map_err(SzhiError::from)? as usize;
-        if n_levels != expected_levels {
-            return Err(SzhiError::InvalidStream(format!(
-                "config {c} has {n_levels} levels, the header's anchor stride implies \
-                 {expected_levels}"
-            )));
-        }
-        let mut levels = Vec::with_capacity(decode_capacity(n_levels));
-        for _ in 0..n_levels {
-            let scheme = scheme_from(cur.get_u8().map_err(SzhiError::from)?)?;
-            let spline = spline_from(cur.get_u8().map_err(SzhiError::from)?)?;
-            levels.push(LevelConfig { scheme, spline });
-        }
-        configs.push(levels);
-    }
-    if cur.remaining() as u64 != trailer.n_chunks * V5_ENTRY_SIZE as u64 {
-        return Err(SzhiError::InvalidStream(format!(
-            "{} bytes follow the config dictionary, a {}-entry table needs {}",
-            cur.remaining(),
-            trailer.n_chunks,
-            trailer.n_chunks * V5_ENTRY_SIZE as u64
-        )));
-    }
-    let raw = read_raw_entries(
-        &mut cur,
-        VERSION_TUNED,
-        trailer.n_chunks as usize,
-        header.pipeline,
-        n_configs,
-    )?;
-    let entries = validate_extents(raw, trailer.table_offset - data_start)?;
-    Ok((entries, configs))
-}
-
 /// Rejects the container versions that carry no chunk table — monolithic
 /// (v1) streams, with a clear pointer at [`crate::decompress`], and unknown
 /// future versions — with the same typed errors on every reader path.
-pub(crate) fn reject_unchunked_version(version: u8) -> Result<(), SzhiError> {
+fn reject_unchunked_version(version: u8) -> Result<(), SzhiError> {
     match version {
         VERSION => Err(SzhiError::InvalidStream(format!(
             "a monolithic (v{VERSION}) stream has no chunk table; decode it with decompress"
@@ -1240,18 +1218,14 @@ pub(crate) fn reject_unchunked_version(version: u8) -> Result<(), SzhiError> {
 }
 
 /// Parses the header and chunk table of any chunk-bearing container
-/// (v2 chunked, v3 streamed, v4 trailered, v5 tuned), dispatching on the
-/// version byte. Monolithic (v1) streams have no chunk table and are
-/// rejected with a clear typed error pointing at [`crate::decompress`];
-/// unknown future versions are rejected as unsupported.
+/// (v2 chunked, v3 streamed, v4 trailered, v5 tuned) held in memory.
+/// Monolithic (v1) streams have no chunk table and are rejected with a
+/// clear typed error pointing at [`crate::decompress`]; unknown future
+/// versions are rejected as unsupported. To accept only some versions,
+/// check [`stream_version`] first.
 pub fn read_chunk_table(bytes: &[u8]) -> Result<(Header, ChunkTable), SzhiError> {
-    let version = read_magic_version(&mut ByteCursor::new(bytes))?;
-    reject_unchunked_version(version)?;
-    if version == VERSION_TRAILERED || version == VERSION_TUNED {
-        read_stream_trailered(bytes)
-    } else {
-        read_stream_chunked(bytes)
-    }
+    let index = parse_chunk_table(&mut Slice(bytes))?;
+    Ok((index.header, index.table))
 }
 
 #[cfg(test)]
@@ -1261,6 +1235,32 @@ mod tests {
     //! here are specified in `docs/FORMAT.md` — keep the two in sync.
 
     use super::*;
+
+    const VERSIONS_V2: &[u8] = &[VERSION_CHUNKED];
+    const VERSIONS_V3: &[u8] = &[VERSION_STREAMED];
+    /// The containers whose chunk table leads the data area.
+    const LEADING: &[u8] = &[VERSION_CHUNKED, VERSION_STREAMED];
+    /// The containers whose table region trails the data area.
+    const TRAILING: &[u8] = &[VERSION_TRAILERED, VERSION_TUNED];
+
+    /// [`read_chunk_table`] behind a version check: how a caller that
+    /// expects particular containers reads them.
+    fn read_versions(versions: &[u8], bytes: &[u8]) -> Result<(Header, ChunkTable), SzhiError> {
+        let version = read_magic_version(&mut ByteCursor::new(bytes))?;
+        if !versions.contains(&version) {
+            return Err(SzhiError::InvalidStream(format!(
+                "expected a v{versions:?} stream, found version {version}"
+            )));
+        }
+        read_chunk_table(bytes)
+    }
+
+    /// Chunk `i`'s body within `bytes`, verified against its CRC32 the way
+    /// every reader verifies it.
+    fn verified<'a>(table: &ChunkTable, bytes: &'a [u8], i: usize) -> Result<&'a [u8], SzhiError> {
+        let body = table.chunk_slice(bytes, i);
+        table.entries[i].verify(i, body).map(|()| body)
+    }
 
     fn sample_header() -> Header {
         Header {
@@ -1536,7 +1536,7 @@ mod tests {
         let bodies = sample_bodies(8);
         let bytes = write_stream_v2(&header, span, &bodies);
         assert_eq!(stream_version(&bytes).unwrap(), VERSION_CHUNKED);
-        let (h, table) = read_stream_v2(&bytes).unwrap();
+        let (h, table) = read_versions(VERSIONS_V2, &bytes).unwrap();
         assert_eq!(h, header);
         assert_eq!(table.span, span);
         assert_eq!(table.entries.len(), 8);
@@ -1556,7 +1556,7 @@ mod tests {
         assert!(matches!(read_stream(&v2), Err(SzhiError::InvalidStream(_))));
         let v1 = write_stream(&header, &[], &[], &[]);
         assert!(matches!(
-            read_stream_v2(&v1),
+            read_versions(VERSIONS_V2, &v1),
             Err(SzhiError::InvalidStream(_))
         ));
         assert_eq!(stream_version(&v1).unwrap(), VERSION);
@@ -1573,7 +1573,7 @@ mod tests {
         for bad in [u64::MAX, u64::MAX / 16, 7, 9, 0] {
             let mut corrupt = bytes.clone();
             corrupt[count_at..count_at + 8].copy_from_slice(&bad.to_le_bytes());
-            match read_stream_v2(&corrupt) {
+            match read_versions(VERSIONS_V2, &corrupt) {
                 Err(SzhiError::InvalidStream(msg)) => assert!(
                     msg.contains("chunk table") || msg.contains("chunks"),
                     "count {bad}: unexpected message {msg}"
@@ -1593,14 +1593,14 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[at + 8..at + 12].copy_from_slice(&12u32.to_le_bytes());
         assert!(matches!(
-            read_stream_v2(&corrupt),
+            read_versions(VERSIONS_V2, &corrupt),
             Err(SzhiError::InvalidStream(_))
         ));
         // Zero span.
         let mut corrupt = bytes.clone();
         corrupt[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
-            read_stream_v2(&corrupt),
+            read_versions(VERSIONS_V2, &corrupt),
             Err(SzhiError::InvalidStream(_))
         ));
         // Denormalised span (32 > the 20-point z-axis would clamp to 20,
@@ -1608,7 +1608,7 @@ mod tests {
         let mut corrupt = bytes;
         corrupt[at..at + 4].copy_from_slice(&32u32.to_le_bytes());
         assert!(matches!(
-            read_stream_v2(&corrupt),
+            read_versions(VERSIONS_V2, &corrupt),
             Err(SzhiError::InvalidStream(_))
         ));
     }
@@ -1625,7 +1625,7 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[entry(1)..entry(1) + 8].copy_from_slice(&0u64.to_le_bytes());
         assert!(matches!(
-            read_stream_v2(&corrupt),
+            read_versions(VERSIONS_V2, &corrupt),
             Err(SzhiError::InvalidStream(msg)) if msg.contains("overlap")
         ));
 
@@ -1633,7 +1633,7 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[entry(7) + 8..entry(7) + 16].copy_from_slice(&(1u64 << 40).to_le_bytes());
         assert!(matches!(
-            read_stream_v2(&corrupt),
+            read_versions(VERSIONS_V2, &corrupt),
             Err(SzhiError::InvalidStream(msg)) if msg.contains("exceeds")
         ));
 
@@ -1642,11 +1642,11 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[entry(7)..entry(7) + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         corrupt[entry(7) + 8..entry(7) + 16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(read_stream_v2(&corrupt).is_err());
+        assert!(read_versions(VERSIONS_V2, &corrupt).is_err());
 
         // A truncated stream cutting through the table itself.
         for cut in [table_at + 3, table_at + 16 * 4 + 1] {
-            assert!(read_stream_v2(&bytes[..cut]).is_err());
+            assert!(read_versions(VERSIONS_V2, &bytes[..cut]).is_err());
         }
     }
 
@@ -1662,7 +1662,7 @@ mod tests {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
                 let result = std::panic::catch_unwind(|| {
-                    if let Ok((_, table)) = read_stream_v2(&corrupt) {
+                    if let Ok((_, table)) = read_versions(VERSIONS_V2, &corrupt) {
                         for i in 0..table.entries.len() {
                             let _ = read_chunk_sections(table.chunk_slice(&corrupt, i));
                         }
@@ -1702,7 +1702,7 @@ mod tests {
         let chunks = sample_v3_chunks(8);
         let bytes = write_stream_v3(&header, span, &chunks);
         assert_eq!(stream_version(&bytes).unwrap(), VERSION_STREAMED);
-        let (h, table) = read_stream_chunked(&bytes).unwrap();
+        let (h, table) = read_versions(LEADING, &bytes).unwrap();
         assert_eq!(h, header);
         assert_eq!(table.span, span);
         assert_eq!(table.entries.len(), 8);
@@ -1710,12 +1710,12 @@ mod tests {
             let e = &table.entries[i];
             assert_eq!(e.pipeline, *spec);
             assert_eq!(e.checksum, Some(crc32(body)));
-            assert_eq!(table.verified_chunk_slice(&bytes, i).unwrap(), &body[..]);
+            assert_eq!(verified(&table, &bytes, i).unwrap(), &body[..]);
         }
         // The strict readers agree on which versions they accept.
-        assert!(read_stream_v3(&bytes).is_ok());
+        assert!(read_versions(VERSIONS_V3, &bytes).is_ok());
         assert!(matches!(
-            read_stream_v2(&bytes),
+            read_versions(VERSIONS_V2, &bytes),
             Err(SzhiError::InvalidStream(_))
         ));
     }
@@ -1724,13 +1724,13 @@ mod tests {
     fn v2_tables_inherit_the_header_pipeline_and_carry_no_checksums() {
         let (header, span) = sample_v2_header();
         let bytes = write_stream_v2(&header, span, &sample_bodies(8));
-        let (h, table) = read_stream_chunked(&bytes).unwrap();
+        let (h, table) = read_versions(LEADING, &bytes).unwrap();
         for e in &table.entries {
             assert_eq!(e.pipeline, h.pipeline);
             assert_eq!(e.checksum, None);
         }
         assert!(matches!(
-            read_stream_v3(&bytes),
+            read_versions(VERSIONS_V3, &bytes),
             Err(SzhiError::InvalidStream(_))
         ));
     }
@@ -1743,19 +1743,19 @@ mod tests {
         let (header, span) = sample_v2_header();
         let chunks = sample_v3_chunks(8);
         let bytes = write_stream_v3(&header, span, &chunks);
-        let (_, table) = read_stream_chunked(&bytes).unwrap();
+        let (_, table) = read_versions(LEADING, &bytes).unwrap();
         let data_start = table.data_start;
         for pos in data_start..bytes.len() {
             for flip in [0x01u8, 0x80] {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
                 // The table itself is untouched, so parsing still succeeds…
-                let (_, t) = read_stream_chunked(&corrupt).unwrap();
+                let (_, t) = read_versions(LEADING, &corrupt).unwrap();
                 // …and exactly the chunk owning the flipped byte fails.
                 let failing: Vec<usize> = (0..t.entries.len())
                     .filter(|&i| {
                         matches!(
-                            t.verified_chunk_slice(&corrupt, i),
+                            verified(&t, &corrupt, i),
                             Err(SzhiError::ChunkChecksum { index, .. }) if index == i
                         )
                     })
@@ -1782,7 +1782,7 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[table_at + 21 * 3 + 16] = 0xEE;
         assert!(matches!(
-            read_stream_chunked(&corrupt),
+            read_versions(LEADING, &corrupt),
             Err(SzhiError::UnknownPipelineId {
                 chunk: Some(3),
                 id: 0xEE
@@ -1797,7 +1797,7 @@ mod tests {
                 let mut corrupt = bytes.clone();
                 corrupt[at] ^= flip;
                 let flipped = corrupt[at];
-                match read_stream_chunked(&corrupt) {
+                match read_versions(LEADING, &corrupt) {
                     Ok(_) => assert!(
                         PipelineSpec::from_id(flipped).is_some(),
                         "entry {entry}: unknown id {flipped} accepted"
@@ -1815,7 +1815,7 @@ mod tests {
         let mut corrupt = bytes;
         corrupt[38] = 0xEE;
         assert!(matches!(
-            read_stream_chunked(&corrupt),
+            read_versions(LEADING, &corrupt),
             Err(SzhiError::UnknownPipelineId {
                 chunk: None,
                 id: 0xEE
@@ -1835,9 +1835,9 @@ mod tests {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
                 let result = std::panic::catch_unwind(|| {
-                    if let Ok((_, table)) = read_stream_chunked(&corrupt) {
+                    if let Ok((_, table)) = read_versions(LEADING, &corrupt) {
                         for i in 0..table.entries.len() {
-                            if let Ok(slice) = table.verified_chunk_slice(&corrupt, i) {
+                            if let Ok(slice) = verified(&table, &corrupt, i) {
                                 let _ = read_chunk_sections(slice);
                             }
                         }
@@ -1862,7 +1862,7 @@ mod tests {
         let bytes = write_stream_v4(&header, span, &chunks);
         assert_eq!(stream_version(&bytes).unwrap(), VERSION_TRAILERED);
         assert_eq!(&bytes[bytes.len() - 4..], &TRAILER_MAGIC);
-        let (h, table) = read_stream_trailered(&bytes).unwrap();
+        let (h, table) = read_versions(TRAILING, &bytes).unwrap();
         assert_eq!(h, header);
         assert_eq!(table.span, span);
         assert_eq!(table.entries.len(), 8);
@@ -1873,7 +1873,7 @@ mod tests {
             let e = &table.entries[i];
             assert_eq!(e.pipeline, *spec);
             assert_eq!(e.checksum, Some(crc32(body)));
-            assert_eq!(table.verified_chunk_slice(&bytes, i).unwrap(), &body[..]);
+            assert_eq!(verified(&table, &bytes, i).unwrap(), &body[..]);
         }
         // The dispatching reader agrees with the strict one; the v2/v3
         // readers reject the stream.
@@ -1881,7 +1881,7 @@ mod tests {
         assert_eq!(h2, h);
         assert_eq!(table2, table);
         assert!(matches!(
-            read_stream_chunked(&bytes),
+            read_versions(LEADING, &bytes),
             Err(SzhiError::InvalidStream(_))
         ));
     }
@@ -1891,7 +1891,7 @@ mod tests {
         let (header, span) = sample_v2_header();
         let v3 = write_stream_v3(&header, span, &sample_v3_chunks(8));
         assert!(matches!(
-            read_stream_trailered(&v3),
+            read_versions(TRAILING, &v3),
             Err(SzhiError::InvalidStream(_))
         ));
         // Through the dispatching reader: v1 is named monolithic, with a
@@ -1934,7 +1934,7 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[bytes.len() - 1] ^= 0xFF;
         assert!(matches!(
-            read_stream_trailered(&corrupt),
+            read_versions(TRAILING, &corrupt),
             Err(SzhiError::TrailerCorrupt(msg)) if msg.contains("magic")
         ));
 
@@ -1944,7 +1944,7 @@ mod tests {
             corrupt[trailer_at..trailer_at + 8].copy_from_slice(&bad_offset.to_le_bytes());
             assert!(
                 matches!(
-                    read_stream_trailered(&corrupt),
+                    read_versions(TRAILING, &corrupt),
                     Err(SzhiError::TrailerCorrupt(_))
                 ),
                 "table offset {bad_offset} not rejected"
@@ -1957,7 +1957,7 @@ mod tests {
             corrupt[trailer_at + 8..trailer_at + 16].copy_from_slice(&bad_count.to_le_bytes());
             assert!(
                 matches!(
-                    read_stream_trailered(&corrupt),
+                    read_versions(TRAILING, &corrupt),
                     Err(SzhiError::TrailerCorrupt(_))
                 ),
                 "chunk count {bad_count} not rejected"
@@ -1966,7 +1966,7 @@ mod tests {
 
         // A stream too short to even hold a trailer.
         assert!(matches!(
-            read_stream_trailered(&bytes[..span_offset(&header) + 12 + 3]),
+            read_versions(TRAILING, &bytes[..span_offset(&header) + 12 + 3]),
             Err(SzhiError::TrailerCorrupt(_)) | Err(SzhiError::InvalidStream(_))
         ));
     }
@@ -1985,7 +1985,7 @@ mod tests {
                 corrupt[pos] ^= flip;
                 assert!(
                     matches!(
-                        read_stream_trailered(&corrupt),
+                        read_versions(TRAILING, &corrupt),
                         Err(SzhiError::TableChecksum { .. })
                     ),
                     "table flip at {} xor {flip:#x} not caught",
@@ -1997,7 +1997,7 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[trailer_at + 16] ^= 0x01;
         assert!(matches!(
-            read_stream_trailered(&corrupt),
+            read_versions(TRAILING, &corrupt),
             Err(SzhiError::TableChecksum { .. })
         ));
     }
@@ -2007,7 +2007,7 @@ mod tests {
         let (header, span) = sample_v2_header();
         let chunks = sample_v3_chunks(8);
         let bytes = write_stream_v4(&header, span, &chunks);
-        let (_, table) = read_stream_trailered(&bytes).unwrap();
+        let (_, table) = read_versions(TRAILING, &bytes).unwrap();
         let data_start = table.data_start;
         let data_end = data_start + chunks.iter().map(|(_, b)| b.len()).sum::<usize>();
         for pos in data_start..data_end {
@@ -2015,12 +2015,12 @@ mod tests {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
                 // The table and trailer are untouched, so parsing succeeds…
-                let (_, t) = read_stream_trailered(&corrupt).unwrap();
+                let (_, t) = read_versions(TRAILING, &corrupt).unwrap();
                 // …and exactly the chunk owning the flipped byte fails.
                 let failing: Vec<usize> = (0..t.entries.len())
                     .filter(|&i| {
                         matches!(
-                            t.verified_chunk_slice(&corrupt, i),
+                            verified(&t, &corrupt, i),
                             Err(SzhiError::ChunkChecksum { index, .. }) if index == i
                         )
                     })
@@ -2040,9 +2040,9 @@ mod tests {
         let (header, span) = sample_v2_header();
         let bytes = write_stream_v4(&header, span, &sample_v3_chunks(8));
         for cut in 0..bytes.len() {
-            let result = std::panic::catch_unwind(|| read_stream_trailered(&bytes[..cut]));
+            let result = std::panic::catch_unwind(|| read_versions(TRAILING, &bytes[..cut]));
             let parsed =
-                result.unwrap_or_else(|_| panic!("read_stream_trailered panicked at cut {cut}"));
+                result.unwrap_or_else(|_| panic!("read_chunk_table panicked at cut {cut}"));
             assert!(
                 parsed.is_err(),
                 "truncation at {cut}/{} went undetected",
@@ -2064,9 +2064,9 @@ mod tests {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
                 let result = std::panic::catch_unwind(|| {
-                    if let Ok((_, table)) = read_stream_trailered(&corrupt) {
+                    if let Ok((_, table)) = read_versions(TRAILING, &corrupt) {
                         for i in 0..table.entries.len() {
-                            if let Ok(slice) = table.verified_chunk_slice(&corrupt, i) {
+                            if let Ok(slice) = verified(&table, &corrupt, i) {
                                 let _ = read_chunk_sections(slice);
                             }
                         }
@@ -2125,7 +2125,7 @@ mod tests {
         let bytes = write_stream_v5(&header, span, &configs, &chunks);
         assert_eq!(stream_version(&bytes).unwrap(), VERSION_TUNED);
         assert_eq!(&bytes[bytes.len() - 4..], &TRAILER_MAGIC_V5);
-        let (h, table) = read_stream_trailered(&bytes).unwrap();
+        let (h, table) = read_versions(TRAILING, &bytes).unwrap();
         assert_eq!(h, header);
         assert_eq!(table.span, span);
         assert_eq!(table.entries.len(), 8);
@@ -2137,7 +2137,7 @@ mod tests {
             assert_eq!(e.pipeline, *spec);
             assert_eq!(e.config, Some(*config));
             assert_eq!(e.checksum, Some(crc32(body)));
-            assert_eq!(table.verified_chunk_slice(&bytes, i).unwrap(), &body[..]);
+            assert_eq!(verified(&table, &bytes, i).unwrap(), &body[..]);
             // The resolved interpolation config: dictionary levels, the
             // header's stride and block span.
             let interp = table.chunk_interp(&h, i);
@@ -2151,7 +2151,7 @@ mod tests {
         assert_eq!(h2, h);
         assert_eq!(table2, table);
         assert!(matches!(
-            read_stream_chunked(&bytes),
+            read_versions(LEADING, &bytes),
             Err(SzhiError::InvalidStream(_))
         ));
     }
@@ -2167,7 +2167,7 @@ mod tests {
         chunks[5].1 = 7;
         let bytes = write_stream_v5(&header, span, &configs, &chunks);
         assert!(matches!(
-            read_stream_trailered(&bytes),
+            read_versions(TRAILING, &bytes),
             Err(SzhiError::UnknownConfigId {
                 chunk: 5,
                 id: 7,
@@ -2190,7 +2190,7 @@ mod tests {
         let region_crc = crc32(&corrupt[table_offset..trailer_at]);
         corrupt[trailer_at + 16..trailer_at + 20].copy_from_slice(&region_crc.to_le_bytes());
         assert!(matches!(
-            read_stream_trailered(&corrupt),
+            read_versions(TRAILING, &corrupt),
             Err(SzhiError::UnknownPipelineId {
                 chunk: Some(2),
                 id: 0xEE
@@ -2214,7 +2214,7 @@ mod tests {
                 corrupt[pos] ^= flip;
                 assert!(
                     matches!(
-                        read_stream_trailered(&corrupt),
+                        read_versions(TRAILING, &corrupt),
                         Err(SzhiError::TableChecksum { .. })
                     ),
                     "region flip at {} xor {flip:#x} not caught",
@@ -2235,7 +2235,7 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[bytes.len() - 1] = b'4';
         assert!(matches!(
-            read_stream_trailered(&corrupt),
+            read_versions(TRAILING, &corrupt),
             Err(SzhiError::TrailerCorrupt(msg)) if msg.contains("magic")
         ));
 
@@ -2245,7 +2245,7 @@ mod tests {
             corrupt[trailer_at..trailer_at + 8].copy_from_slice(&bad_offset.to_le_bytes());
             assert!(
                 matches!(
-                    read_stream_trailered(&corrupt),
+                    read_versions(TRAILING, &corrupt),
                     Err(SzhiError::TrailerCorrupt(_))
                 ),
                 "table offset {bad_offset} not rejected"
@@ -2258,7 +2258,7 @@ mod tests {
             corrupt[trailer_at + 8..trailer_at + 16].copy_from_slice(&bad_count.to_le_bytes());
             assert!(
                 matches!(
-                    read_stream_trailered(&corrupt),
+                    read_versions(TRAILING, &corrupt),
                     Err(SzhiError::TrailerCorrupt(_))
                 ),
                 "chunk count {bad_count} not rejected"
@@ -2271,18 +2271,18 @@ mod tests {
         let (header, span) = sample_v2_header();
         let chunks = sample_v5_chunks(8);
         let bytes = write_stream_v5(&header, span, &sample_configs(), &chunks);
-        let (_, table) = read_stream_trailered(&bytes).unwrap();
+        let (_, table) = read_versions(TRAILING, &bytes).unwrap();
         let data_start = table.data_start;
         let data_end = data_start + chunks.iter().map(|(_, _, b)| b.len()).sum::<usize>();
         for pos in data_start..data_end {
             for flip in [0x01u8, 0x80] {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
-                let (_, t) = read_stream_trailered(&corrupt).unwrap();
+                let (_, t) = read_versions(TRAILING, &corrupt).unwrap();
                 let failing: Vec<usize> = (0..t.entries.len())
                     .filter(|&i| {
                         matches!(
-                            t.verified_chunk_slice(&corrupt, i),
+                            verified(&t, &corrupt, i),
                             Err(SzhiError::ChunkChecksum { index, .. }) if index == i
                         )
                     })
@@ -2302,9 +2302,9 @@ mod tests {
         let (header, span) = sample_v2_header();
         let bytes = write_stream_v5(&header, span, &sample_configs(), &sample_v5_chunks(8));
         for cut in 0..bytes.len() {
-            let result = std::panic::catch_unwind(|| read_stream_trailered(&bytes[..cut]));
+            let result = std::panic::catch_unwind(|| read_versions(TRAILING, &bytes[..cut]));
             let parsed =
-                result.unwrap_or_else(|_| panic!("read_stream_trailered panicked at cut {cut}"));
+                result.unwrap_or_else(|_| panic!("read_chunk_table panicked at cut {cut}"));
             assert!(
                 parsed.is_err(),
                 "truncation at {cut}/{} went undetected",
@@ -2325,9 +2325,9 @@ mod tests {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
                 let result = std::panic::catch_unwind(|| {
-                    if let Ok((_, table)) = read_stream_trailered(&corrupt) {
+                    if let Ok((_, table)) = read_versions(TRAILING, &corrupt) {
                         for i in 0..table.entries.len() {
-                            if let Ok(slice) = table.verified_chunk_slice(&corrupt, i) {
+                            if let Ok(slice) = verified(&table, &corrupt, i) {
                                 let _ = read_chunk_sections(slice);
                             }
                         }

@@ -172,6 +172,12 @@
 //!
 //! ## Serving (pipes and concurrent jobs)
 //!
+//! Every reader is a fetch strategy over one validated [`ChunkIndex`],
+//! built by the one chunk-table parser: [`StreamReader`] borrows chunk
+//! bodies from memory, [`StreamSource`] seeks to them and
+//! [`ForwardSource`] reads them in order, all with the same validation,
+//! the same accessors and the same verify-then-decode chunk read.
+//!
 //! Two pieces turn the engine into a serving layer. [`ForwardSource`] is
 //! the forward-only counterpart of [`StreamSource`]: it decodes any
 //! chunked container over a plain [`std::io::Read`] — no `Seek` — so
@@ -202,11 +208,10 @@ pub use compressor::{
 pub use config::{ErrorBound, ModeTuning, PipelineMode, SzhiConfig};
 pub use error::SzhiError;
 pub use format::{
-    stream_version, Header, MAGIC, TRAILER_MAGIC, TRAILER_MAGIC_V5, TRAILER_SIZE, VERSION,
-    VERSION_CHUNKED, VERSION_STREAMED, VERSION_TRAILERED, VERSION_TUNED,
+    stream_version, ChunkIndex, Header, MAGIC, TRAILER_MAGIC, TRAILER_MAGIC_V5, TRAILER_SIZE,
+    VERSION, VERSION_CHUNKED, VERSION_STREAMED, VERSION_TRAILERED, VERSION_TUNED,
 };
 pub use jobs::{JobHandle, JobProgress, JobService};
 pub use stream::{
-    ChunkReceipt, EncodedChunk, ForwardChunks, ForwardSource, SourceChunks, StreamReader,
-    StreamSink, StreamSource, StreamWriter,
+    ChunkReceipt, EncodedChunk, ForwardSource, StreamReader, StreamSink, StreamSource, StreamWriter,
 };

@@ -16,13 +16,18 @@
 //!   interpolation configuration — and finalizes a streamed (v3) or tuned
 //!   (v5) container without ever holding the uncompressed field. Only the
 //!   compressed chunk bodies are retained until [`StreamWriter::finish`].
-//! * [`StreamReader`] parses any chunk-bearing container (v2–v5) once,
-//!   then decodes chunks **lazily** ([`StreamReader::chunks`],
+//! * One reader core serves three fetch strategies. A chunk-bearing
+//!   container (v2–v5) is parsed once into a [`ChunkIndex`] by the one
+//!   chunk-table parser in [`crate::format`]. [`StreamReader`] then
+//!   borrows chunk bodies from a slice, [`StreamSource`] seeks to them and
+//!   [`ForwardSource`] reads them off a pipe. All three share the index's
+//!   accessors and one chunk read: fetch the body, verify its CRC32
+//!   (v3+) *before* any lossless decoder touches the bytes, then decode it
+//!   with the chunk's own pipeline and (v5) dictionary configuration.
+//!   Corruption surfaces as the typed [`SzhiError::ChunkChecksum`].
+//!   [`StreamReader`] decodes chunks **lazily** ([`StreamReader::chunks`],
 //!   [`StreamReader::read_chunk`]) or drains them eagerly in parallel
-//!   ([`StreamReader::read_all`]), each v5 chunk with its own dictionary
-//!   configuration. Every v3+ chunk is verified against its CRC32
-//!   *before* any lossless decoder touches the bytes; corruption surfaces
-//!   as the typed [`SzhiError::ChunkChecksum`].
+//!   ([`StreamReader::read_all`]).
 //!
 //! The writer is deterministic: pushing the chunks of a field one at a time
 //! produces a stream byte-identical to [`crate::compress_chunked`] under
@@ -33,12 +38,14 @@ use crate::compressor::{decompress_chunk_body, CompressionStats};
 use crate::config::{ModeTuning, PipelineMode, SzhiConfig};
 use crate::error::SzhiError;
 use crate::format::{
-    self, read_chunk_table, write_sections, write_stream_v3, write_stream_v5, ChunkEntry,
-    ChunkTable, Header, TRAILER_SIZE, VERSION_STREAMED, VERSION_TRAILERED, VERSION_TUNED,
+    self, write_sections, write_stream_v3, write_stream_v5, ChunkEntry, ChunkIndex, Fetch, Header,
+    Slice, VERSION_TRAILERED, VERSION_TUNED,
 };
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::io::{Read, Seek, SeekFrom, Write};
-use szhi_codec::bitio::{put_u32, ByteCursor};
+use std::ops::Deref;
+use szhi_codec::bitio::put_u32;
 use szhi_codec::checksum::crc32;
 use szhi_codec::PipelineSpec;
 use szhi_ndgrid::{ChunkPlan, Dims, Grid, Region};
@@ -1014,15 +1021,75 @@ impl<W: Write> StreamSink<W> {
     }
 }
 
-/// Lazy, checksum-verifying reader of chunked (v2), streamed (v3) and
-/// trailered (v4) containers held in memory.
+/// A decoded chunk: its region of the original field and the
+/// reconstructed values.
+type Chunk = (Region, Grid<f32>);
+
+/// The chunk reads every reader runs over its [`ChunkIndex`]; the index
+/// itself (parsing, accessors) lives in [`crate::format`].
+impl ChunkIndex {
+    /// The one chunk read of every reader: fetch chunk `index`'s body from
+    /// `src`, verify its CRC32, then decode it with the chunk's own
+    /// pipeline and interpolation configuration.
+    fn read_from<F: Fetch>(&self, src: &mut F, index: usize) -> Result<Chunk, SzhiError> {
+        let entry = self.entry(index)?;
+        let body = src.fetch(self.body_offset(entry), entry.len as u64, "a chunk body")?;
+        F::count_body(body.len());
+        entry.verify(index, &body)?;
+        let grid = decompress_chunk_body(
+            &self.header,
+            entry.pipeline,
+            &self.table.chunk_interp(&self.header, index),
+            self.plan.chunk_dims(index),
+            &body,
+        )?;
+        Ok((self.plan.chunk_at(index), grid))
+    }
+
+    /// Verifies chunk `index` against its CRC32 without decoding it. v2
+    /// streams carry no checksums, so for them this fetches nothing.
+    fn verify_from<F: Fetch>(&self, src: &mut F, index: usize) -> Result<(), SzhiError> {
+        let entry = self.entry(index)?;
+        if entry.checksum.is_none() {
+            return Ok(());
+        }
+        let body = src.fetch(self.body_offset(entry), entry.len as u64, "a chunk body")?;
+        F::count_body(body.len());
+        entry.verify(index, &body)
+    }
+
+    /// The stream offset of a chunk body. Saturating: a forward source
+    /// checks extents against an unbounded data area, so an absurd offset
+    /// must fail as a short read, not overflow.
+    fn body_offset(&self, entry: &ChunkEntry) -> u64 {
+        (self.table.data_start as u64).saturating_add(entry.offset as u64)
+    }
+}
+
+/// Assembles decoded chunks into the full field, stopping at the first
+/// error.
+fn assemble<I>(dims: Dims, chunks: I) -> Result<Grid<f32>, SzhiError>
+where
+    I: IntoIterator<Item = Result<Chunk, SzhiError>>,
+{
+    let mut out = Grid::zeros(dims);
+    for chunk in chunks {
+        let (region, sub) = chunk?;
+        out.insert(&region, sub.as_slice());
+    }
+    Ok(out)
+}
+
+/// Lazy, checksum-verifying reader of chunk-bearing containers (v2–v5)
+/// held in memory: the zero-copy fetch strategy over a [`ChunkIndex`].
 ///
 /// Construction parses and validates the header and chunk table only
-/// (located behind the data area via the trailer for v4); chunk bodies are
-/// decoded on demand. Every access to a v3/v4 chunk verifies its CRC32
-/// first, so corrupted bytes are rejected ([`SzhiError::ChunkChecksum`])
-/// before any lossless decoder runs. To read a v4 container without
-/// holding the whole stream in memory, use [`StreamSource`].
+/// (located behind the data area via the trailer for v4/v5); chunk bodies
+/// are borrowed from the slice and decoded on demand, through `&self`, so
+/// [`StreamReader::read_all`] decodes chunks in parallel. Every v3+ chunk
+/// is verified against its CRC32 first, so corrupted bytes are rejected
+/// ([`SzhiError::ChunkChecksum`]) before any lossless decoder runs. To
+/// read a stream without holding it in memory, use [`StreamSource`].
 ///
 /// ```
 /// use szhi_core::{compress_chunked, ErrorBound, StreamReader, SzhiConfig};
@@ -1047,9 +1114,7 @@ impl<W: Write> StreamSink<W> {
 #[derive(Debug)]
 pub struct StreamReader<'a> {
     bytes: &'a [u8],
-    header: Header,
-    table: ChunkTable,
-    plan: ChunkPlan,
+    index: ChunkIndex,
 }
 
 impl<'a> StreamReader<'a> {
@@ -1059,95 +1124,22 @@ impl<'a> StreamReader<'a> {
     /// error — decode those with [`crate::decompress`]; unknown future
     /// versions are rejected as unsupported.
     pub fn new(bytes: &'a [u8]) -> Result<StreamReader<'a>, SzhiError> {
-        let (header, table) = read_chunk_table(bytes)?;
-        let plan = ChunkPlan::new(header.dims, table.span);
-        Ok(StreamReader {
-            bytes,
-            header,
-            table,
-            plan,
-        })
-    }
-
-    /// The parsed stream header.
-    pub fn header(&self) -> &Header {
-        &self.header
-    }
-
-    /// Shape of the full field the stream encodes.
-    pub fn dims(&self) -> Dims {
-        self.header.dims
-    }
-
-    /// The chunk partition of the stream.
-    pub fn plan(&self) -> &ChunkPlan {
-        &self.plan
-    }
-
-    /// Number of chunks in the stream.
-    pub fn chunk_count(&self) -> usize {
-        self.table.entries.len()
-    }
-
-    /// The region of the original field chunk `index` covers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see [`StreamReader::chunk_count`]).
-    pub fn chunk_region(&self, index: usize) -> Region {
-        self.plan.chunk_at(index)
-    }
-
-    /// The lossless pipeline that encoded chunk `index` (from the v3+ mode
-    /// byte; for v2 streams, the header's global pipeline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see [`StreamReader::chunk_count`]).
-    pub fn chunk_pipeline(&self, index: usize) -> PipelineSpec {
-        // szhi-analyzer: allow(panic-reachability) -- documented `# Panics` contract for out-of-range indices; the reader's own decode paths only pass indices below `chunk_count()`
-        self.table.entries[index].pipeline
-    }
-
-    /// The interpolation configuration chunk `index` was compressed with:
-    /// its config-dictionary entry for tuned (v5) streams, the header's
-    /// configuration for every other version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see [`StreamReader::chunk_count`]).
-    pub fn chunk_interp(&self, index: usize) -> InterpConfig {
-        self.table.chunk_interp(&self.header, index)
+        let index = format::parse_chunk_table(&mut Slice(bytes))?;
+        Ok(StreamReader { bytes, index })
     }
 
     /// Verifies chunk `index` against its recorded CRC32 without decoding
     /// it (a no-op returning `Ok` for v2 streams, which carry no
     /// checksums).
     pub fn verify_chunk(&self, index: usize) -> Result<(), SzhiError> {
-        self.check_index(index)?;
-        self.table
-            .verified_chunk_slice(self.bytes, index)
-            .map(|_| ())
+        self.index.verify_from(&mut Slice(self.bytes), index)
     }
 
     /// Decodes chunk `index`: verifies its checksum, then reconstructs the
     /// sub-field it covers. Returns the chunk's region of the original
     /// field and the reconstructed values.
     pub fn read_chunk(&self, index: usize) -> Result<(Region, Grid<f32>), SzhiError> {
-        self.check_index(index)?;
-        let body = self.table.verified_chunk_slice(self.bytes, index)?;
-        let entry =
-            self.table.entries.get(index).ok_or_else(|| {
-                SzhiError::InvalidInput(format!("chunk index {index} out of range"))
-            })?;
-        let grid = decompress_chunk_body(
-            &self.header,
-            entry.pipeline,
-            &self.table.chunk_interp(&self.header, index),
-            self.plan.chunk_dims(index),
-            body,
-        )?;
-        Ok((self.plan.chunk_at(index), grid))
+        self.index.read_from(&mut Slice(self.bytes), index)
     }
 
     /// Iterates over the decoded chunks **lazily**, in plan order: each
@@ -1164,39 +1156,73 @@ impl<'a> StreamReader<'a> {
             .into_par_iter()
             .map(|i| self.read_chunk(i))
             .collect();
-        let mut out = Grid::zeros(self.header.dims);
-        for chunk in chunks {
-            let (region, sub) = chunk?;
-            out.insert(&region, sub.as_slice());
-        }
-        Ok(out)
+        assemble(self.dims(), chunks)
     }
+}
 
-    fn check_index(&self, index: usize) -> Result<(), SzhiError> {
-        if index >= self.chunk_count() {
-            return Err(SzhiError::InvalidInput(format!(
-                "chunk index {index} out of range for a stream of {} chunks",
-                self.chunk_count()
+impl Deref for StreamReader<'_> {
+    type Target = ChunkIndex;
+
+    fn deref(&self) -> &ChunkIndex {
+        &self.index
+    }
+}
+
+/// The seek fetch strategy: one seek plus one read of exactly the
+/// requested bytes per fetch, bounded by the stream length measured at
+/// open.
+#[derive(Debug)]
+struct Seekable<R> {
+    reader: R,
+    len: u64,
+}
+
+impl<R: Read + Seek> Fetch for Seekable<R> {
+    fn fetch(&mut self, at: u64, len: u64, what: &str) -> Result<Cow<'_, [u8]>, SzhiError> {
+        if at.checked_add(len).is_none_or(|end| end > self.len) {
+            return Err(SzhiError::Io(format!(
+                "reading {what}: {len} bytes at offset {at} run past the {}-byte stream",
+                self.len
             )));
         }
-        Ok(())
+        self.reader
+            .seek(SeekFrom::Start(at))
+            .map_err(|e| SzhiError::Io(format!("seeking to {what}: {e}")))?;
+        let mut buf = vec![0u8; len as usize];
+        self.reader
+            .read_exact(&mut buf)
+            .map_err(|e| SzhiError::Io(format!("reading {what}: {e}")))?;
+        Ok(Cow::Owned(buf))
+    }
+
+    fn known_len(&self) -> Option<u64> {
+        Some(self.len)
+    }
+
+    fn drain_len(&mut self) -> Result<u64, SzhiError> {
+        Ok(self.len)
+    }
+
+    fn count_body(len: usize) {
+        crate::telemetry::SOURCE_BYTES.bump(len as u64);
+        crate::telemetry::SOURCE_CHUNKS.bump(1);
     }
 }
 
 /// Bounded-memory reader of chunked containers behind any
 /// [`io::Read`](std::io::Read)` + `[`io::Seek`](std::io::Seek) — a
 /// [`File`](std::fs::File), a [`Cursor`](std::io::Cursor) over bytes, or
-/// anything else seekable.
+/// anything else seekable: the seek fetch strategy over a [`ChunkIndex`].
 ///
 /// Construction reads and validates only the header and the chunk table:
-/// for trailered (v4) containers the fixed-size trailer at the end of the
-/// stream locates the table (whose bytes are verified against the
-/// trailer's CRC32 before any entry is parsed); for chunked (v2) and
-/// streamed (v3) containers the table sits directly after the header.
-/// Chunk bodies are then fetched with one seek + bounded read each and
-/// verified against their CRC32 (v3/v4) *before* any lossless decoder
-/// sees them — the same discipline as [`StreamReader`], without ever
-/// holding more than one compressed chunk in memory. Monolithic (v1)
+/// for trailered (v4) and tuned (v5) containers the fixed-size trailer at
+/// the end of the stream locates the table region (whose bytes are
+/// verified against the trailer's CRC32 before any entry is parsed); for
+/// chunked (v2) and streamed (v3) containers the table sits directly after
+/// the header. Chunk bodies are then fetched with one seek + bounded read
+/// each and verified against their CRC32 (v3+) *before* any lossless
+/// decoder sees them — the same discipline as [`StreamReader`], without
+/// ever holding more than one compressed chunk in memory. Monolithic (v1)
 /// streams and unknown future versions are rejected with clear typed
 /// errors.
 ///
@@ -1221,29 +1247,8 @@ impl<'a> StreamReader<'a> {
 /// ```
 #[derive(Debug)]
 pub struct StreamSource<R> {
-    reader: R,
-    version: u8,
-    header: Header,
-    span: [usize; 3],
-    entries: Vec<ChunkEntry>,
-    /// The config dictionary of a tuned (v5) stream; empty otherwise.
-    configs: Vec<Vec<LevelConfig>>,
-    data_start: u64,
-    plan: ChunkPlan,
-}
-
-/// The parsed chunk-table region of an io-backed source: the entries, the
-/// (possibly empty) config dictionary and the data-area start offset.
-type ParsedTable = (Vec<ChunkEntry>, Vec<Vec<LevelConfig>>, u64);
-
-/// Reads exactly `n` bytes from `reader`, mapping failures (including a
-/// premature end of the stream) to [`SzhiError::Io`].
-fn read_exact_vec<R: Read>(reader: &mut R, n: usize, what: &str) -> Result<Vec<u8>, SzhiError> {
-    let mut buf = vec![0u8; n];
-    reader
-        .read_exact(&mut buf)
-        .map_err(|e| SzhiError::Io(format!("reading {what}: {e}")))?;
-    Ok(buf)
+    src: Seekable<R>,
+    index: ChunkIndex,
 }
 
 impl<'a> StreamSource<std::io::Cursor<&'a [u8]>> {
@@ -1257,270 +1262,19 @@ impl<R: Read + Seek> StreamSource<R> {
     /// Opens a chunked (v2), streamed (v3), trailered (v4) or tuned (v5)
     /// container, reading and validating the header and chunk table only.
     pub fn new(mut reader: R) -> Result<StreamSource<R>, SzhiError> {
-        reader
-            .seek(SeekFrom::Start(0))
-            .map_err(|e| SzhiError::Io(format!("seeking to the stream start: {e}")))?;
-        // The fixed header prefix: magic, version, and everything through
-        // the level count at offset 48 (see docs/FORMAT.md).
-        let mut head = read_exact_vec(&mut reader, 49, "the stream header")?;
-        let version = format::read_magic_version(&mut ByteCursor::new(&head))?;
-        format::reject_unchunked_version(version)?;
-        // szhi-analyzer: allow(panic-reachability) -- `head` was filled by `read_exact_vec(.., 49, ..)` just above, so index 48 is in bounds; short reads already surfaced as typed errors
-        let n_levels = head[48] as usize;
-        head.extend(read_exact_vec(
-            &mut reader,
-            2 * n_levels + 12,
-            "the predictor levels and chunk span",
-        )?);
-        let mut cur = ByteCursor::new(&head);
-        format::read_magic_version(&mut cur)?;
-        let header = format::read_header_fields(&mut cur)?;
-        let span = format::read_span(&mut cur)?;
-        let plan = format::validated_plan(&header, span)?;
-        let data_start = head.len() as u64;
-        let file_len = reader
+        let len = reader
             .seek(SeekFrom::End(0))
             .map_err(|e| SzhiError::Io(format!("seeking to the stream end: {e}")))?;
-        let (entries, configs, data_start) = if version == VERSION_TRAILERED
-            || version == VERSION_TUNED
-        {
-            Self::parse_trailered_table(&mut reader, &header, &plan, version, data_start, file_len)?
-        } else {
-            let (entries, data_start) = Self::parse_leading_table(
-                &mut reader,
-                &header,
-                &plan,
-                version,
-                data_start,
-                file_len,
-            )?;
-            (entries, Vec::new(), data_start)
-        };
-        Ok(StreamSource {
-            reader,
-            version,
-            header,
-            span,
-            entries,
-            configs,
-            data_start,
-            plan,
-        })
-    }
-
-    /// Locates and validates the chunk table of a v4/v5 stream via its
-    /// trailer: trailer magic and geometry first, then the table-region
-    /// CRC32, then (for v5) the config dictionary, then the entries.
-    fn parse_trailered_table(
-        reader: &mut R,
-        header: &Header,
-        plan: &ChunkPlan,
-        version: u8,
-        data_start: u64,
-        file_len: u64,
-    ) -> Result<ParsedTable, SzhiError> {
-        if file_len < data_start + TRAILER_SIZE as u64 {
-            return Err(SzhiError::TrailerCorrupt(format!(
-                "stream of {file_len} bytes is too short for a {TRAILER_SIZE}-byte trailer"
-            )));
-        }
-        let trailer_start = file_len - TRAILER_SIZE as u64;
-        reader
-            .seek(SeekFrom::Start(trailer_start))
-            .map_err(|e| SzhiError::Io(format!("seeking to the trailer: {e}")))?;
-        let tail = read_exact_vec(reader, TRAILER_SIZE, "the trailer")?;
-        let trailer = format::parse_trailer(&tail, version)?;
-        if version == VERSION_TRAILERED {
-            let table_len =
-                format::validate_trailer_geometry(&trailer, plan.len(), data_start, trailer_start)?;
-            reader
-                .seek(SeekFrom::Start(trailer.table_offset))
-                .map_err(|e| SzhiError::Io(format!("seeking to the chunk table: {e}")))?;
-            let table_bytes = read_exact_vec(reader, table_len as usize, "the chunk table")?;
-            let entries = format::parse_trailered_entries(
-                &table_bytes,
-                &trailer,
-                data_start,
-                header.pipeline,
-            )?;
-            Ok((entries, Vec::new(), data_start))
-        } else {
-            format::validate_tuned_geometry(&trailer, plan.len(), data_start, trailer_start)?;
-            reader
-                .seek(SeekFrom::Start(trailer.table_offset))
-                .map_err(|e| SzhiError::Io(format!("seeking to the table region: {e}")))?;
-            let region_len = (trailer_start - trailer.table_offset) as usize;
-            let region = read_exact_vec(reader, region_len, "the table region")?;
-            let (entries, configs) =
-                format::parse_tuned_region(&region, &trailer, data_start, header)?;
-            Ok((entries, configs, data_start))
-        }
-    }
-
-    /// Reads and validates the leading chunk table of a v2/v3 stream (the
-    /// table sits directly after the chunk span; the data area follows).
-    fn parse_leading_table(
-        reader: &mut R,
-        header: &Header,
-        plan: &ChunkPlan,
-        version: u8,
-        table_at: u64,
-        file_len: u64,
-    ) -> Result<(Vec<ChunkEntry>, u64), SzhiError> {
-        reader
-            .seek(SeekFrom::Start(table_at))
-            .map_err(|e| SzhiError::Io(format!("seeking to the chunk table: {e}")))?;
-        let count_bytes = read_exact_vec(reader, 8, "the chunk count")?;
-        let n_chunks = u64::from_le_bytes(
-            *count_bytes
-                .first_chunk::<8>()
-                .ok_or_else(|| SzhiError::Io("short read of the chunk count".into()))?,
-        );
-        let entry_size = if version == VERSION_STREAMED {
-            format::V3_ENTRY_SIZE
-        } else {
-            format::V2_ENTRY_SIZE
-        };
-        let remaining = file_len - (table_at + 8);
-        match n_chunks.checked_mul(entry_size as u64) {
-            Some(bytes) if bytes <= remaining => {}
-            _ => {
-                return Err(SzhiError::InvalidStream(format!(
-                    "chunk table count {n_chunks} exceeds the {remaining} bytes left in the \
-                     stream"
-                )))
-            }
-        }
-        if n_chunks != plan.len() as u64 {
-            return Err(SzhiError::InvalidStream(format!(
-                "chunk table lists {n_chunks} chunks, the {} field at span {:?} has {}",
-                header.dims,
-                plan.span(),
-                plan.len()
-            )));
-        }
-        let table_len = n_chunks * entry_size as u64;
-        let table_bytes = read_exact_vec(reader, table_len as usize, "the chunk table")?;
-        let mut cur = ByteCursor::new(&table_bytes);
-        let raw =
-            format::read_raw_entries(&mut cur, version, n_chunks as usize, header.pipeline, 0)?;
-        let data_start = table_at + 8 + table_len;
-        let data_len = file_len - data_start;
-        Ok((format::validate_extents(raw, data_len)?, data_start))
-    }
-
-    /// The container version of the stream (2, 3, 4 or 5).
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
-    /// The parsed stream header.
-    pub fn header(&self) -> &Header {
-        &self.header
-    }
-
-    /// Shape of the full field the stream encodes.
-    pub fn dims(&self) -> Dims {
-        self.header.dims
-    }
-
-    /// Chunk span per axis `(z, y, x)`.
-    pub fn span(&self) -> [usize; 3] {
-        self.span
-    }
-
-    /// The chunk partition of the stream.
-    pub fn plan(&self) -> &ChunkPlan {
-        &self.plan
-    }
-
-    /// Number of chunks in the stream.
-    pub fn chunk_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The region of the original field chunk `index` covers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see
-    /// [`StreamSource::chunk_count`]).
-    pub fn chunk_region(&self, index: usize) -> Region {
-        self.plan.chunk_at(index)
-    }
-
-    /// The lossless pipeline that encoded chunk `index` (from the v3+
-    /// mode byte; for v2 streams, the header's global pipeline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see
-    /// [`StreamSource::chunk_count`]).
-    pub fn chunk_pipeline(&self, index: usize) -> PipelineSpec {
-        // szhi-analyzer: allow(panic-reachability) -- documented `# Panics` contract for out-of-range indices; `fetch_chunk` guards every internal use with `check_index`
-        self.entries[index].pipeline
-    }
-
-    /// The interpolation configuration chunk `index` was compressed with:
-    /// its config-dictionary entry for tuned (v5) streams, the header's
-    /// configuration for every other version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see
-    /// [`StreamSource::chunk_count`]).
-    pub fn chunk_interp(&self, index: usize) -> InterpConfig {
-        // szhi-analyzer: allow(panic-reachability) -- documented `# Panics` contract for out-of-range indices; `fetch_chunk` guards every internal use with `check_index`
-        format::resolve_chunk_interp(&self.header, self.entries[index].config, &self.configs)
-    }
-
-    fn check_index(&self, index: usize) -> Result<(), SzhiError> {
-        if index >= self.entries.len() {
-            return Err(SzhiError::InvalidInput(format!(
-                "chunk index {index} out of range for a stream of {} chunks",
-                self.entries.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Fetches the body of chunk `index` (one seek + one bounded read) and
-    /// verifies it against its recorded CRC32 when the stream carries one.
-    fn fetch_chunk(&mut self, index: usize) -> Result<Vec<u8>, SzhiError> {
-        self.check_index(index)?;
-        let entry = *self
-            .entries
-            .get(index)
-            .ok_or_else(|| SzhiError::InvalidInput(format!("chunk index {index} out of range")))?;
-        self.reader
-            .seek(SeekFrom::Start(self.data_start + entry.offset as u64))
-            .map_err(|e| SzhiError::Io(format!("seeking to chunk {index}: {e}")))?;
-        let body = read_exact_vec(&mut self.reader, entry.len, "a chunk body")?;
-        crate::telemetry::SOURCE_BYTES.bump(body.len() as u64);
-        crate::telemetry::SOURCE_CHUNKS.bump(1);
-        if let Some(stored) = entry.checksum {
-            let _span = crate::telemetry::DECODE_CRC.enter();
-            let computed = crc32(&body);
-            if computed != stored {
-                return Err(SzhiError::ChunkChecksum {
-                    index,
-                    stored,
-                    computed,
-                });
-            }
-        }
-        Ok(body)
+        let mut src = Seekable { reader, len };
+        let index = format::parse_chunk_table(&mut src)?;
+        Ok(StreamSource { src, index })
     }
 
     /// Verifies chunk `index` against its recorded CRC32 without decoding
     /// it. v2 streams carry no checksums, so for them this is a true no-op
     /// returning `Ok` — no seek, no read.
     pub fn verify_chunk(&mut self, index: usize) -> Result<(), SzhiError> {
-        self.check_index(index)?;
-        match self.entries.get(index) {
-            Some(e) if e.checksum.is_some() => self.fetch_chunk(index).map(|_| ()),
-            _ => Ok(()),
-        }
+        self.index.verify_from(&mut self.src, index)
     }
 
     /// Decodes chunk `index`: reads its body from the backing reader,
@@ -1528,31 +1282,15 @@ impl<R: Read + Seek> StreamSource<R> {
     /// Returns the chunk's region of the original field and the
     /// reconstructed values.
     pub fn read_chunk(&mut self, index: usize) -> Result<(Region, Grid<f32>), SzhiError> {
-        let body = self.fetch_chunk(index)?;
-        let pipeline = self
-            .entries
-            .get(index)
-            .ok_or_else(|| SzhiError::InvalidInput(format!("chunk index {index} out of range")))?
-            .pipeline;
-        let grid = decompress_chunk_body(
-            &self.header,
-            pipeline,
-            &self.chunk_interp(index),
-            self.plan.chunk_dims(index),
-            &body,
-        )?;
-        Ok((self.plan.chunk_at(index), grid))
+        self.index.read_from(&mut self.src, index)
     }
 
     /// Iterates over the decoded chunks **lazily**, in plan order: each
     /// chunk is read, verified and decoded only when the iterator is
     /// advanced, so one compressed body and one reconstructed sub-field
     /// are in memory at a time.
-    pub fn chunks(&mut self) -> SourceChunks<'_, R> {
-        SourceChunks {
-            source: self,
-            next: 0,
-        }
+    pub fn chunks(&mut self) -> impl Iterator<Item = Result<(Region, Grid<f32>), SzhiError>> + '_ {
+        (0..self.chunk_count()).map(move |i| self.read_chunk(i))
     }
 
     /// Decodes every chunk sequentially and assembles the full field.
@@ -1560,38 +1298,20 @@ impl<R: Read + Seek> StreamSource<R> {
     /// stream via [`StreamReader::read_all`] instead if it is already in
     /// memory and parallel decode matters.)
     pub fn read_all(&mut self) -> Result<Grid<f32>, SzhiError> {
-        let mut out = Grid::zeros(self.header.dims);
-        for i in 0..self.entries.len() {
-            let (region, sub) = self.read_chunk(i)?;
-            out.insert(&region, sub.as_slice());
-        }
-        Ok(out)
+        assemble(self.dims(), self.chunks())
     }
 
     /// Consumes the source, returning the backing reader.
     pub fn into_inner(self) -> R {
-        self.reader
+        self.src.reader
     }
 }
 
-/// Lazy chunk iterator over a [`StreamSource`], returned by
-/// [`StreamSource::chunks`].
-#[derive(Debug)]
-pub struct SourceChunks<'a, R> {
-    source: &'a mut StreamSource<R>,
-    next: usize,
-}
+impl<R> Deref for StreamSource<R> {
+    type Target = ChunkIndex;
 
-impl<R: Read + Seek> Iterator for SourceChunks<'_, R> {
-    type Item = Result<(Region, Grid<f32>), SzhiError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.source.chunk_count() {
-            return None;
-        }
-        let index = self.next;
-        self.next += 1;
-        Some(self.source.read_chunk(index))
+    fn deref(&self) -> &ChunkIndex {
+        &self.index
     }
 }
 
@@ -1614,55 +1334,80 @@ fn read_exact_untrusted<R: Read>(reader: &mut R, n: u64, what: &str) -> Result<V
     Ok(buf)
 }
 
-/// Discards exactly `n` bytes from a forward-only reader (the gap between
-/// two chunk bodies, which a seekable source would simply seek over).
-fn skip_exact<R: Read>(reader: &mut R, n: u64, what: &str) -> Result<(), SzhiError> {
-    let copied = std::io::copy(&mut reader.take(n), &mut std::io::sink())
-        .map_err(|e| SzhiError::Io(format!("skipping {what}: {e}")))?;
-    if copied != n {
-        return Err(SzhiError::Io(format!(
-            "skipping {what}: the stream ended after {copied} of {n} bytes"
-        )));
-    }
-    Ok(())
+/// The forward fetch strategy over a reader that cannot seek. Fetches must
+/// come in stream order: the bytes before each fetch are discarded (the gap
+/// between two chunk bodies, which a seekable source would seek over).
+/// Draining to EOF ([`Fetch::drain_len`]) buffers the rest of the stream,
+/// which every later fetch then borrows from.
+#[derive(Debug)]
+struct Forward<R> {
+    reader: R,
+    /// Stream offset of the next byte `reader` yields.
+    pos: u64,
+    /// Everything from `pos` to EOF, once drained.
+    rest: Option<Vec<u8>>,
 }
 
-/// How a [`ForwardSource`] holds the part of the stream behind the header.
-#[derive(Debug)]
-enum ForwardState<R> {
-    /// v2/v3: the chunk table leads the data area, so the source is truly
-    /// incremental — it holds the parsed table, the live reader and the
-    /// current position within the data area, and decodes each body as it
-    /// streams past.
-    Streaming {
-        reader: R,
-        entries: Vec<ChunkEntry>,
-        /// Bytes of the data area consumed so far (the forward cursor).
-        pos: u64,
-    },
-    /// v4/v5: the chunk table and trailer sit **behind** the data area, so
-    /// no chunk's pipeline, config or checksum is known until the stream
-    /// ends. The source buffers the remainder to EOF, then validates
-    /// table + trailer in the standard order — the unavoidable price of a
-    /// trailered container on a pipe (memory high-water is O(compressed
-    /// stream); see [`StreamSource`] for the seekable bounded-memory path).
-    Buffered { bytes: Vec<u8>, table: ChunkTable },
+impl<R: Read> Fetch for Forward<R> {
+    fn fetch(&mut self, at: u64, len: u64, what: &str) -> Result<Cow<'_, [u8]>, SzhiError> {
+        let behind = at.checked_sub(self.pos).ok_or_else(|| {
+            SzhiError::Io(format!(
+                "reading {what}: offset {at} is behind the forward position {}",
+                self.pos
+            ))
+        })?;
+        if let Some(rest) = &self.rest {
+            return Slice(rest).bytes_at(behind, len, what).map(Cow::Borrowed);
+        }
+        let skipped = std::io::copy(&mut (&mut self.reader).take(behind), &mut std::io::sink())
+            .map_err(|e| SzhiError::Io(format!("skipping to {what}: {e}")))?;
+        if skipped != behind {
+            return Err(SzhiError::Io(format!(
+                "skipping to {what}: the stream ended after {skipped} of {behind} bytes"
+            )));
+        }
+        self.pos = at;
+        let bytes = read_exact_untrusted(&mut self.reader, len, what)?;
+        self.pos += len;
+        Ok(Cow::Owned(bytes))
+    }
+
+    fn known_len(&self) -> Option<u64> {
+        self.rest.as_ref().map(|rest| self.pos + rest.len() as u64)
+    }
+
+    fn drain_len(&mut self) -> Result<u64, SzhiError> {
+        let mut rest = self.rest.take().unwrap_or_default();
+        self.reader
+            .read_to_end(&mut rest)
+            .map_err(|e| SzhiError::Io(format!("reading a trailered stream to its end: {e}")))?;
+        let len = self.pos + rest.len() as u64;
+        self.rest = Some(rest);
+        Ok(len)
+    }
+
+    fn count_body(len: usize) {
+        crate::telemetry::FORWARD_BYTES.bump(len as u64);
+        crate::telemetry::FORWARD_CHUNKS.bump(1);
+    }
 }
 
 /// Forward-only reader of chunked containers (v2–v5) over any
 /// [`io::Read`](std::io::Read) — **no `Seek` required** — so a compressed
-/// stream can be decoded straight off a pipe, a socket, or `stdin`.
+/// stream can be decoded straight off a pipe, a socket, or `stdin`: the
+/// forward fetch strategy over a [`ChunkIndex`].
 ///
 /// Chunks are decoded strictly in offset order (which for streams written
 /// by this workspace is plan order). For v2/v3 containers, whose chunk
 /// table precedes the data area, decoding is truly incremental: one
 /// compressed body and one reconstructed sub-field in memory at a time.
 /// For trailered v4/v5 containers the table and trailer live at the end of
-/// the stream, so the source buffers the remainder to EOF first and
-/// validates table + trailer at end-of-stream in the same order as the
-/// in-memory readers (header → trailer geometry → table-region CRC32 →
-/// config dictionary → entries), then every chunk body is still verified
-/// against its CRC32 before any lossless decoder touches it.
+/// the stream, so no chunk's pipeline, config or checksum is known until
+/// the stream ends: the source buffers the remainder to EOF first (memory
+/// high-water O(compressed stream); see [`StreamSource`] for the seekable
+/// bounded-memory path) and validates table + trailer in the same order as
+/// every other reader, then every chunk body is still verified against its
+/// CRC32 before any lossless decoder touches it.
 ///
 /// ```
 /// use szhi_core::{compress, decompress, ErrorBound, ForwardSource, SzhiConfig};
@@ -1682,11 +1427,8 @@ enum ForwardState<R> {
 /// ```
 #[derive(Debug)]
 pub struct ForwardSource<R> {
-    state: ForwardState<R>,
-    version: u8,
-    header: Header,
-    span: [usize; 3],
-    plan: ChunkPlan,
+    src: Forward<R>,
+    index: ChunkIndex,
     next: usize,
 }
 
@@ -1698,181 +1440,23 @@ impl<R: Read> ForwardSource<R> {
     /// For v2/v3 this reads and validates the header and leading chunk
     /// table only; for v4/v5 it consumes the reader to EOF (see the type
     /// docs for why) and validates the trailing table before returning.
-    pub fn new(mut reader: R) -> Result<ForwardSource<R>, SzhiError> {
-        // The fixed header prefix: magic, version, and everything through
-        // the level count at offset 48 (see docs/FORMAT.md).
-        let mut head = read_exact_vec(&mut reader, 49, "the stream header")?;
-        let version = format::read_magic_version(&mut ByteCursor::new(&head))?;
-        format::reject_unchunked_version(version)?;
-        // szhi-analyzer: allow(panic-reachability) -- `head` was filled by `read_exact_vec(.., 49, ..)` just above, so index 48 is in bounds; short reads already surfaced as typed errors
-        let n_levels = head[48] as usize;
-        head.extend(read_exact_vec(
-            &mut reader,
-            2 * n_levels + 12,
-            "the predictor levels and chunk span",
-        )?);
-        let mut cur = ByteCursor::new(&head);
-        format::read_magic_version(&mut cur)?;
-        let header = format::read_header_fields(&mut cur)?;
-        let span = format::read_span(&mut cur)?;
-        let plan = format::validated_plan(&header, span)?;
-        let state = if version == VERSION_TRAILERED || version == VERSION_TUNED {
-            Self::buffer_trailered(reader, head)?
-        } else {
-            Self::parse_forward_leading_table(reader, &header, &plan, version)?
+    pub fn new(reader: R) -> Result<ForwardSource<R>, SzhiError> {
+        let mut src = Forward {
+            reader,
+            pos: 0,
+            rest: None,
         };
+        let index = format::parse_chunk_table(&mut src)?;
         Ok(ForwardSource {
-            state,
-            version,
-            header,
-            span,
-            plan,
+            src,
+            index,
             next: 0,
         })
-    }
-
-    /// The v4/v5 path: drain the reader to EOF behind the already-consumed
-    /// header prefix, then validate the whole stream exactly like the
-    /// in-memory readers — the table and trailer are validated at
-    /// end-of-stream, in the standard order.
-    fn buffer_trailered(mut reader: R, head: Vec<u8>) -> Result<ForwardState<R>, SzhiError> {
-        let mut bytes = head;
-        reader
-            .read_to_end(&mut bytes)
-            .map_err(|e| SzhiError::Io(format!("reading a trailered stream to its end: {e}")))?;
-        let (_, table) = format::read_stream_trailered(&bytes)?;
-        Ok(ForwardState::Buffered { bytes, table })
-    }
-
-    /// The v2/v3 path: read and validate the leading chunk table, leaving
-    /// the reader positioned at the start of the data area. The data
-    /// area's length is unknown on a forward stream (it ends at EOF), so
-    /// extents are validated against the maximal area; a chunk that claims
-    /// bytes past the true end surfaces as a typed I/O error when its body
-    /// is read.
-    fn parse_forward_leading_table(
-        mut reader: R,
-        header: &Header,
-        plan: &ChunkPlan,
-        version: u8,
-    ) -> Result<ForwardState<R>, SzhiError> {
-        let count_bytes = read_exact_vec(&mut reader, 8, "the chunk count")?;
-        let n_chunks = u64::from_le_bytes(
-            *count_bytes
-                .first_chunk::<8>()
-                .ok_or_else(|| SzhiError::Io("short read of the chunk count".into()))?,
-        );
-        if n_chunks != plan.len() as u64 {
-            return Err(SzhiError::InvalidStream(format!(
-                "chunk table lists {n_chunks} chunks, the {} field at span {:?} has {}",
-                header.dims,
-                plan.span(),
-                plan.len()
-            )));
-        }
-        let entry_size = if version == VERSION_STREAMED {
-            format::V3_ENTRY_SIZE
-        } else {
-            format::V2_ENTRY_SIZE
-        };
-        let table_len = n_chunks.saturating_mul(entry_size as u64);
-        let table_bytes = read_exact_untrusted(&mut reader, table_len, "the chunk table")?;
-        let mut cur = ByteCursor::new(&table_bytes);
-        let raw =
-            format::read_raw_entries(&mut cur, version, n_chunks as usize, header.pipeline, 0)?;
-        let entries = format::validate_extents(raw, u64::MAX)?;
-        Ok(ForwardState::Streaming {
-            reader,
-            entries,
-            pos: 0,
-        })
-    }
-
-    /// The container version of the stream (2, 3, 4 or 5).
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
-    /// The parsed stream header.
-    pub fn header(&self) -> &Header {
-        &self.header
-    }
-
-    /// Shape of the full field the stream encodes.
-    pub fn dims(&self) -> Dims {
-        self.header.dims
-    }
-
-    /// Chunk span per axis `(z, y, x)`.
-    pub fn span(&self) -> [usize; 3] {
-        self.span
-    }
-
-    /// The chunk partition of the stream.
-    pub fn plan(&self) -> &ChunkPlan {
-        &self.plan
-    }
-
-    /// Number of chunks in the stream.
-    pub fn chunk_count(&self) -> usize {
-        match &self.state {
-            ForwardState::Streaming { entries, .. } => entries.len(),
-            ForwardState::Buffered { table, .. } => table.entries.len(),
-        }
     }
 
     /// Index of the next chunk [`ForwardSource::next_chunk`] will decode.
     pub fn next_index(&self) -> usize {
         self.next
-    }
-
-    /// The region of the original field chunk `index` covers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see
-    /// [`ForwardSource::chunk_count`]).
-    pub fn chunk_region(&self, index: usize) -> Region {
-        self.plan.chunk_at(index)
-    }
-
-    /// The table entry of chunk `index`, or a typed error when out of
-    /// range.
-    fn entry(&self, index: usize) -> Result<ChunkEntry, SzhiError> {
-        let entry = match &self.state {
-            ForwardState::Streaming { entries, .. } => entries.get(index),
-            ForwardState::Buffered { table, .. } => table.entries.get(index),
-        };
-        entry.copied().ok_or_else(|| {
-            SzhiError::InvalidInput(format!(
-                "chunk index {index} out of range for a stream of {} chunks",
-                self.chunk_count()
-            ))
-        })
-    }
-
-    /// The lossless pipeline that encoded chunk `index` (from the v3+ mode
-    /// byte; for v2 streams, the header's global pipeline), or a typed
-    /// error when out of range.
-    pub fn chunk_pipeline(&self, index: usize) -> Result<PipelineSpec, SzhiError> {
-        self.entry(index).map(|e| e.pipeline)
-    }
-
-    /// The interpolation configuration chunk `index` was compressed with:
-    /// its config-dictionary entry for tuned (v5) streams, the header's
-    /// configuration for every other version; a typed error when out of
-    /// range.
-    pub fn chunk_interp(&self, index: usize) -> Result<InterpConfig, SzhiError> {
-        let entry = self.entry(index)?;
-        let configs: &[Vec<LevelConfig>] = match &self.state {
-            ForwardState::Streaming { .. } => &[],
-            ForwardState::Buffered { table, .. } => &table.configs,
-        };
-        Ok(format::resolve_chunk_interp(
-            &self.header,
-            entry.config,
-            configs,
-        ))
     }
 
     /// Decodes the next chunk in offset order: its region of the original
@@ -1892,62 +1476,15 @@ impl<R: Read> ForwardSource<R> {
         }
         let index = self.next;
         self.next += 1;
-        Some(self.decode_chunk(index))
-    }
-
-    /// Fetches and decodes chunk `index` (the current forward position).
-    fn decode_chunk(&mut self, index: usize) -> Result<(Region, Grid<f32>), SzhiError> {
-        let entry = self.entry(index)?;
-        let interp = self.chunk_interp(index)?;
-        let ForwardSource {
-            state,
-            header,
-            plan,
-            ..
-        } = self;
-        let dims = plan.chunk_dims(index);
-        let grid = match state {
-            ForwardState::Streaming { reader, pos, .. } => {
-                let offset = entry.offset as u64;
-                if offset > *pos {
-                    // A gap between bodies: a seekable source would seek
-                    // over it; a forward source discards it.
-                    skip_exact(reader, offset - *pos, "a gap between chunk bodies")?;
-                    *pos = offset;
-                }
-                let body = read_exact_untrusted(reader, entry.len as u64, "a chunk body")?;
-                *pos += entry.len as u64;
-                crate::telemetry::FORWARD_BYTES.bump(body.len() as u64);
-                crate::telemetry::FORWARD_CHUNKS.bump(1);
-                if let Some(stored) = entry.checksum {
-                    let _span = crate::telemetry::DECODE_CRC.enter();
-                    let computed = crc32(&body);
-                    if computed != stored {
-                        return Err(SzhiError::ChunkChecksum {
-                            index,
-                            stored,
-                            computed,
-                        });
-                    }
-                }
-                decompress_chunk_body(header, entry.pipeline, &interp, dims, &body)?
-            }
-            ForwardState::Buffered { bytes, table } => {
-                let body = table.verified_chunk_slice(bytes, index)?;
-                crate::telemetry::FORWARD_BYTES.bump(body.len() as u64);
-                crate::telemetry::FORWARD_CHUNKS.bump(1);
-                decompress_chunk_body(header, entry.pipeline, &interp, dims, body)?
-            }
-        };
-        Ok((plan.chunk_at(index), grid))
+        Some(self.index.read_from(&mut self.src, index))
     }
 
     /// Iterates over the remaining decoded chunks in offset order, lazily:
     /// one compressed body and one reconstructed sub-field in memory at a
     /// time (for v2/v3; buffered v4/v5 streams hold the compressed bytes
     /// until the source is dropped).
-    pub fn chunks(&mut self) -> ForwardChunks<'_, R> {
-        ForwardChunks { source: self }
+    pub fn chunks(&mut self) -> impl Iterator<Item = Result<(Region, Grid<f32>), SzhiError>> + '_ {
+        std::iter::from_fn(move || self.next_chunk())
     }
 
     /// Decodes every remaining chunk and assembles the full field (regions
@@ -1955,27 +1492,15 @@ impl<R: Read> ForwardSource<R> {
     /// fresh source this reconstructs the whole field, identically to
     /// [`crate::decompress`].
     pub fn read_all(&mut self) -> Result<Grid<f32>, SzhiError> {
-        let mut out = Grid::zeros(self.header.dims);
-        while let Some(chunk) = self.next_chunk() {
-            let (region, sub) = chunk?;
-            out.insert(&region, sub.as_slice());
-        }
-        Ok(out)
+        assemble(self.dims(), self.chunks())
     }
 }
 
-/// Lazy chunk iterator over a [`ForwardSource`], returned by
-/// [`ForwardSource::chunks`].
-#[derive(Debug)]
-pub struct ForwardChunks<'a, R> {
-    source: &'a mut ForwardSource<R>,
-}
+impl<R> Deref for ForwardSource<R> {
+    type Target = ChunkIndex;
 
-impl<R: Read> Iterator for ForwardChunks<'_, R> {
-    type Item = Result<(Region, Grid<f32>), SzhiError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.source.next_chunk()
+    fn deref(&self) -> &ChunkIndex {
+        &self.index
     }
 }
 
@@ -2113,6 +1638,8 @@ mod tests {
         assert_eq!(eager.dims(), data.dims());
         assert_eq!(eager.as_slice(), decompress(&bytes).unwrap().as_slice());
         assert!(reader.read_chunk(reader.chunk_count()).is_err());
+        assert!(reader.chunk_pipeline(reader.chunk_count()).is_err());
+        assert!(reader.chunk_interp(reader.chunk_count()).is_err());
     }
 
     /// An `io::Write` that swallows `fail_after` writes, then fails every
@@ -2159,7 +1686,7 @@ mod tests {
         // The sink shares the v3 writer's chunk encoder: rebuilding a v4
         // container from the v3 stream's bodies and pipelines reproduces
         // the sink's bytes exactly.
-        let (header, table) = crate::format::read_stream_chunked(&v3).unwrap();
+        let (header, table) = crate::format::read_chunk_table(&v3).unwrap();
         let chunks: Vec<(PipelineSpec, Vec<u8>)> = (0..table.entries.len())
             .map(|i| {
                 (
@@ -2244,7 +1771,7 @@ mod tests {
         let cfg = stream_cfg([16, 16, 16]);
         let v3 = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
         // Reassemble v2 and v4 containers carrying the same chunk bodies.
-        let (header, table) = crate::format::read_stream_chunked(&v3).unwrap();
+        let (header, table) = crate::format::read_chunk_table(&v3).unwrap();
         let bodies: Vec<Vec<u8>> = (0..table.entries.len())
             .map(|i| table.chunk_slice(&v3, i).to_vec())
             .collect();
@@ -2266,7 +1793,7 @@ mod tests {
             assert_eq!(source.header().pipeline, header.pipeline);
             for i in 0..source.chunk_count() {
                 source.verify_chunk(i).unwrap();
-                assert_eq!(source.chunk_pipeline(i), table.entries[i].pipeline);
+                assert_eq!(source.chunk_pipeline(i).unwrap(), table.entries[i].pipeline);
                 assert_eq!(source.chunk_region(i), source.plan().chunk_at(i));
             }
             let mut covered = 0usize;
@@ -2282,6 +1809,8 @@ mod tests {
                 "v{version} source disagrees with decompress"
             );
             assert!(source.read_chunk(source.chunk_count()).is_err());
+            assert!(source.chunk_pipeline(source.chunk_count()).is_err());
+            assert!(source.chunk_interp(source.chunk_count()).is_err());
             let _ = source.into_inner();
         }
     }
@@ -2325,45 +1854,6 @@ mod tests {
     }
 
     #[test]
-    fn v4_byte_flips_and_truncations_through_the_source_never_panic() {
-        // The io-backed read path must uphold the same discipline as the
-        // slice readers: every single-byte corruption and every truncation
-        // of a v4 stream surfaces as a typed error, never a panic.
-        let data = DatasetKind::Qmcpack.generate(Dims::d3(20, 20, 20), 3);
-        let cfg = stream_cfg([16, 16, 16]);
-        let mut sink = StreamSink::new(Vec::new(), data.dims(), &cfg).unwrap();
-        while let Some(region) = sink.next_chunk_region() {
-            let dims = sink.plan().chunk_dims(sink.next_index());
-            sink.push_chunk(&Grid::from_vec(dims, data.extract(&region)))
-                .unwrap();
-        }
-        let bytes = sink.finish().unwrap();
-        for pos in 0..bytes.len() {
-            for flip in [0x01u8, 0x80, 0xFF] {
-                let mut corrupt = bytes.clone();
-                corrupt[pos] ^= flip;
-                let result = std::panic::catch_unwind(|| {
-                    if let Ok(mut source) = StreamSource::from_bytes(&corrupt) {
-                        let _ = source.read_all();
-                    }
-                });
-                assert!(
-                    result.is_ok(),
-                    "source panicked with byte {pos} xor {flip:#x}"
-                );
-            }
-        }
-        for cut in [0usize, 4, 40, bytes.len() / 2, bytes.len() - 1] {
-            let result = std::panic::catch_unwind(|| {
-                if let Ok(mut source) = StreamSource::from_bytes(&bytes[..cut]) {
-                    let _ = source.read_all();
-                }
-            });
-            assert!(result.is_ok(), "source panicked at truncation {cut}");
-        }
-    }
-
-    #[test]
     fn per_chunk_tuning_never_loses_to_a_global_mode_even_at_tight_bounds() {
         // Regression for the eb-sensitivity PR 3 noted: at tight bounds the
         // noisy half's codes saturate into outliers and both pipelines see
@@ -2401,8 +1891,8 @@ mod tests {
             // to the global default stream — no stray mode bytes, no size
             // drift.
             let reader = StreamReader::new(&tuned).unwrap();
-            let all_default =
-                (0..reader.chunk_count()).all(|i| reader.chunk_pipeline(i) == PipelineSpec::CR);
+            let all_default = (0..reader.chunk_count())
+                .all(|i| reader.chunk_pipeline(i).unwrap() == PipelineSpec::CR);
             if all_default {
                 assert_eq!(
                     tuned, cr,
@@ -2472,56 +1962,16 @@ mod tests {
         // The chunk table exposes each chunk's resolved configuration, and
         // the dictionary holds every referenced config.
         for i in 0..reader.chunk_count() {
-            let interp = reader.chunk_interp(i);
+            let interp = reader.chunk_interp(i).unwrap();
             interp.validate().unwrap();
             assert_eq!(interp.anchor_stride, reader.header().interp.anchor_stride);
-            assert_eq!(source.chunk_interp(i), interp);
+            assert_eq!(source.chunk_interp(i).unwrap(), interp);
         }
 
         // Random access decodes each chunk with its own config.
         let (region, sub) = crate::compressor::decompress_chunk(&batch, 1).unwrap();
         for (a, b) in data.extract(&region).iter().zip(sub.as_slice()) {
             assert!(((*a as f64) - (*b as f64)).abs() <= abs_eb + 1e-12);
-        }
-    }
-
-    #[test]
-    fn v5_byte_flips_and_truncations_never_panic_through_any_reader() {
-        // The v5 parity fuzz: every single-byte corruption and truncation
-        // of a tuned stream surfaces as a typed error through `decompress`
-        // and the io-backed `StreamSource` — never a panic.
-        let data = szhi_datagen::mixed_smooth_noisy(Dims::d3(16, 16, 32));
-        let cfg = SzhiConfig::new(ErrorBound::Absolute(2e-3))
-            .with_auto_tune(false)
-            .with_chunk_span([16, 16, 16])
-            .with_mode_tuning(ModeTuning::PerChunk)
-            .with_chunk_interp_tuning(true);
-        let bytes = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
-        assert_eq!(stream_version(&bytes).unwrap(), VERSION_TUNED);
-        for pos in 0..bytes.len() {
-            for flip in [0x01u8, 0x80, 0xFF] {
-                let mut corrupt = bytes.clone();
-                corrupt[pos] ^= flip;
-                let result = std::panic::catch_unwind(|| {
-                    let _ = decompress(&corrupt);
-                    if let Ok(mut source) = StreamSource::from_bytes(&corrupt) {
-                        let _ = source.read_all();
-                    }
-                });
-                assert!(
-                    result.is_ok(),
-                    "v5 reader panicked with byte {pos} xor {flip:#x}"
-                );
-            }
-        }
-        for cut in [0usize, 4, 40, bytes.len() / 2, bytes.len() - 1] {
-            let result = std::panic::catch_unwind(|| {
-                assert!(decompress(&bytes[..cut]).is_err());
-                if let Ok(mut source) = StreamSource::from_bytes(&bytes[..cut]) {
-                    let _ = source.read_all();
-                }
-            });
-            assert!(result.is_ok(), "v5 reader panicked at truncation {cut}");
         }
     }
 
@@ -2546,7 +1996,7 @@ mod tests {
         let data = DatasetKind::Rtm.generate(Dims::d3(40, 40, 24), 13);
         let cfg = stream_cfg([16, 16, 16]);
         let v3 = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
-        let (header, table) = crate::format::read_stream_chunked(&v3).unwrap();
+        let (header, table) = crate::format::read_chunk_table(&v3).unwrap();
         let bodies: Vec<Vec<u8>> = (0..table.entries.len())
             .map(|i| table.chunk_slice(&v3, i).to_vec())
             .collect();
@@ -2581,12 +2031,12 @@ mod tests {
             for i in 0..forward.chunk_count() {
                 assert_eq!(
                     forward.chunk_pipeline(i).unwrap(),
-                    seekable.chunk_pipeline(i),
+                    seekable.chunk_pipeline(i).unwrap(),
                     "v{version} chunk {i} pipeline"
                 );
                 assert_eq!(
                     forward.chunk_interp(i).unwrap(),
-                    seekable.chunk_interp(i),
+                    seekable.chunk_interp(i).unwrap(),
                     "v{version} chunk {i} interp"
                 );
                 assert_eq!(forward.chunk_region(i), seekable.chunk_region(i));
@@ -2641,7 +2091,7 @@ mod tests {
         // source seeks over them; the forward source must discard them.
         let data = DatasetKind::Nyx.generate(Dims::d3(32, 32, 32), 5);
         let v3 = compress_chunked(&data, &stream_cfg([16, 16, 16]), [16, 16, 16]).unwrap();
-        let (_, table) = crate::format::read_stream_chunked(&v3).unwrap();
+        let (_, table) = crate::format::read_chunk_table(&v3).unwrap();
         let n = table.entries.len();
         let gap = 5usize;
         let mut gapped = v3[..table.data_start].to_vec();
@@ -2662,53 +2112,157 @@ mod tests {
         assert_eq!(forward.read_all().unwrap().as_slice(), expect.as_slice());
     }
 
+    /// Decodes `bytes` through every read strategy — in memory
+    /// (`decompress`), seek (`StreamSource`) and forward (`ForwardSource`
+    /// over a non-`Seek` pipe) — returning each grid's bit pattern, or
+    /// `None` for a typed error.
+    fn decode_every_way(bytes: &[u8]) -> [Option<Vec<u32>>; 3] {
+        let bits = |grid: Result<Grid<f32>, SzhiError>| {
+            grid.ok()
+                .map(|g| g.as_slice().iter().map(|v| v.to_bits()).collect())
+        };
+        [
+            bits(decompress(bytes)),
+            bits(StreamSource::from_bytes(bytes).and_then(|mut s| s.read_all())),
+            bits(ForwardSource::new(PipeReader { bytes, pos: 0 }).and_then(|mut s| s.read_all())),
+        ]
+    }
+
+    /// The differential corruption sweep over one stream. Every single-byte
+    /// corruption (xor 0x01, 0x80 and 0xFF at every offset) and five
+    /// truncations go through all three read strategies: none may panic,
+    /// all three must agree on success vs failure, and wherever they
+    /// succeed their grids must be bit-identical.
+    fn every_read_strategy_agrees_on_every_corruption_of(version: u8, bytes: &[u8]) {
+        assert_eq!(stream_version(bytes).unwrap(), version);
+        let check = |label: &str, bytes: &[u8]| {
+            let decoded = std::panic::catch_unwind(|| decode_every_way(bytes))
+                .unwrap_or_else(|_| panic!("{label}: a read strategy panicked"));
+            let [memory, seek, forward] = decoded;
+            assert!(
+                seek == memory && forward == memory,
+                "{label}: strategies disagree (decoded: in-memory {}, seek {}, forward {})",
+                memory.is_some(),
+                seek.is_some(),
+                forward.is_some()
+            );
+        };
+        // The byte offsets are dealt out round-robin over the cores.
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        std::thread::scope(|scope| {
+            for first in 0..workers {
+                scope.spawn(move || {
+                    for pos in (first..bytes.len()).step_by(workers) {
+                        for flip in [0x01u8, 0x80, 0xFF] {
+                            let mut corrupt = bytes.to_vec();
+                            corrupt[pos] ^= flip;
+                            check(&format!("v{version} byte {pos} xor {flip:#x}"), &corrupt);
+                        }
+                    }
+                });
+            }
+        });
+        for cut in [0usize, 4, 40, bytes.len() / 2, bytes.len() - 1] {
+            check(&format!("v{version} truncated to {cut}"), &bytes[..cut]);
+        }
+    }
+
     #[test]
-    fn forward_source_byte_flips_and_truncations_never_panic() {
-        // The forward-only read path upholds the same discipline as every
-        // other reader: single-byte corruption and truncation of a leading
-        // -table (v3) or trailered (v5) stream surface as typed errors —
-        // never a panic, never an unbounded allocation.
+    fn v4_byte_flips_and_truncations_through_the_source_never_panic() {
+        // The trailered (v4) stream a `StreamSink` writes over Qmcpack.
+        let data = DatasetKind::Qmcpack.generate(Dims::d3(20, 20, 20), 3);
+        let cfg = stream_cfg([16, 16, 16]);
+        let mut sink = StreamSink::new(Vec::new(), data.dims(), &cfg).unwrap();
+        while let Some(region) = sink.next_chunk_region() {
+            sink.push_chunk(&Grid::from_vec(region.dims(), data.extract(&region)))
+                .unwrap();
+        }
+        let v4 = sink.finish().unwrap();
+        every_read_strategy_agrees_on_every_corruption_of(4, &v4);
+    }
+
+    #[test]
+    fn v5_byte_flips_and_truncations_never_panic_through_any_reader() {
+        // The tuned (v5) stream; its sweep also covers the forward reader.
         let data = szhi_datagen::mixed_smooth_noisy(Dims::d3(16, 16, 32));
-        let cfg = SzhiConfig::new(ErrorBound::Absolute(2e-3))
-            .with_auto_tune(false)
-            .with_chunk_span([16, 16, 16]);
-        let v3 = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
         let v5 = compress_chunked(
             &data,
-            &cfg.clone()
+            &stream_cfg([16, 16, 16])
                 .with_mode_tuning(ModeTuning::PerChunk)
                 .with_chunk_interp_tuning(true),
             [16, 16, 16],
         )
         .unwrap();
-        for bytes in [&v3, &v5] {
-            for pos in 0..bytes.len() {
-                for flip in [0x01u8, 0x80, 0xFF] {
-                    let mut corrupt = bytes.clone();
-                    corrupt[pos] ^= flip;
-                    let result = std::panic::catch_unwind(|| {
-                        if let Ok(mut forward) = ForwardSource::new(&corrupt[..]) {
-                            let _ = forward.read_all();
-                        }
-                    });
-                    assert!(
-                        result.is_ok(),
-                        "forward source panicked with byte {pos} xor {flip:#x}"
-                    );
-                }
+        every_read_strategy_agrees_on_every_corruption_of(5, &v5);
+    }
+
+    #[test]
+    fn forward_source_byte_flips_and_truncations_never_panic() {
+        // The leading-table (v3) stream. The forward reader's pass over the
+        // trailered v4 and tuned v5 streams runs in the two sweeps above.
+        let data = szhi_datagen::mixed_smooth_noisy(Dims::d3(16, 16, 32));
+        let v3 = compress_chunked(&data, &stream_cfg([16, 16, 16]), [16, 16, 16]).unwrap();
+        every_read_strategy_agrees_on_every_corruption_of(3, &v3);
+    }
+
+    #[test]
+    fn every_read_strategy_verifies_each_chunk_in_the_crc_span() {
+        // `decode.crc` counts one span per verified chunk body on every
+        // read path. Spans are observed by a listener on this thread, so
+        // concurrent tests cannot perturb the counts, and every read below
+        // verifies on the calling thread.
+        let data = DatasetKind::Rtm.generate(Dims::d3(40, 40, 24), 13);
+        let cfg = stream_cfg([16, 16, 16]);
+        let v3 = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
+        let v5 = compress_chunked(
+            &data,
+            &cfg.clone()
+                .with_mode_tuning(ModeTuning::estimated())
+                .with_chunk_interp_tuning(true),
+            [16, 16, 16],
+        )
+        .unwrap();
+        let crcs = std::rc::Rc::new(std::cell::Cell::new(0usize));
+        let seen = std::rc::Rc::clone(&crcs);
+        szhi_telemetry::set_thread_span_listener(Some(Box::new(move |name, entering| {
+            if entering && name == "decode.crc" {
+                seen.set(seen.get() + 1);
             }
-            for cut in [0usize, 4, 40, bytes.len() / 2, bytes.len() - 1] {
-                let result = std::panic::catch_unwind(|| {
-                    if let Ok(mut forward) = ForwardSource::new(&bytes[..cut]) {
-                        let _ = forward.read_all();
+        })));
+        for bytes in [&v3, &v5] {
+            let n = StreamReader::new(bytes).unwrap().chunk_count();
+            let strategies: [(&str, &dyn Fn() -> usize); 4] = [
+                ("StreamReader", &|| {
+                    let reader = StreamReader::new(bytes).unwrap();
+                    reader.chunks().map(Result::unwrap).count()
+                }),
+                ("decompress_chunk", &|| {
+                    for i in 0..n {
+                        crate::compressor::decompress_chunk(bytes, i).unwrap();
                     }
-                });
-                assert!(
-                    result.is_ok(),
-                    "forward source panicked at truncation {cut}"
+                    n
+                }),
+                ("StreamSource", &|| {
+                    let mut source = StreamSource::from_bytes(bytes).unwrap();
+                    source.chunks().map(Result::unwrap).count()
+                }),
+                ("ForwardSource", &|| {
+                    let mut source = ForwardSource::new(&bytes[..]).unwrap();
+                    source.chunks().map(Result::unwrap).count()
+                }),
+            ];
+            for (what, read) in strategies {
+                crcs.set(0);
+                assert_eq!(read(), n, "{what} decoded every chunk");
+                assert_eq!(
+                    crcs.get(),
+                    n,
+                    "{what} on v{}: one decode.crc span per chunk",
+                    stream_version(bytes).unwrap()
                 );
             }
         }
+        szhi_telemetry::set_thread_span_listener(None);
     }
 
     #[test]
@@ -2791,7 +2345,7 @@ mod tests {
         .unwrap();
         let reader = StreamReader::new(&tuned_bytes).unwrap();
         let modes: std::collections::HashSet<u8> = (0..reader.chunk_count())
-            .map(|i| reader.chunk_pipeline(i).id())
+            .map(|i| reader.chunk_pipeline(i).unwrap().id())
             .collect();
         assert!(modes.len() > 1, "expected a mix of per-chunk modes");
         let recon = reader.read_all().unwrap();

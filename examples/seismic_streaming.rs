@@ -88,7 +88,8 @@ fn main() {
         let mut restored = Grid::zeros(dims);
         let mut modes = std::collections::BTreeSet::new();
         for i in 0..source.chunk_count() {
-            modes.insert(source.chunk_pipeline(i).name());
+            let pipeline = source.chunk_pipeline(i).expect("chunk index in range");
+            modes.insert(pipeline.name());
         }
         for chunk in source.chunks() {
             let (region, sub) = chunk.expect("chunk decode");
