@@ -332,10 +332,10 @@ fn reconstruct(
     }
     let codes = if header.reorder {
         let _span = crate::telemetry::DECODE_REORDER.enter();
-        // szhi-analyzer: allow(panic-reachability) -- `LevelOrder::new` builds a permutation from locally computed dims/stride (never stream bytes) and indexes only its own level buckets; in bounds by construction
+        // szhi-analyzer: allow(panic-reachability) -- `LevelOrder::new` asserts only that the stride is a power of two >= 2; the stride comes from the stream header, which `read_header_fields` (format.rs) rejects unless it is exactly that, and the rest of the construction is O(levels) arithmetic
         let order = LevelOrder::new(dims, interp.anchor_stride);
         order
-            // szhi-analyzer: allow(panic-reachability) -- `restore` length-checks `codes` against the permutation and `dest` is a valid permutation by construction, so both index expressions are in bounds; corrupt inputs surface as its typed error (byte-flip fuzz suites cover this boundary)
+            // szhi-analyzer: allow(panic-reachability) -- `restore` length-checks `codes` against the field, and its lattice walk visits every raster index exactly once (pinned against the permutation reference in the reorder tests), so every slice it takes is in bounds; corrupt inputs surface as its typed error (byte-flip fuzz suites cover this boundary)
             .restore(&codes)
             .map_err(|e| SzhiError::InvalidStream(e.to_string()))?
     } else {

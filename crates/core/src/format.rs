@@ -245,6 +245,14 @@ pub fn write_stream(
     out
 }
 
+/// The CRC32 of one encoded chunk body, timed in the `encode.crc` span —
+/// the one checksum every chunk write path (in-memory writers and
+/// [`StreamSink`](crate::stream::StreamSink)) records.
+pub(crate) fn body_crc(body: &[u8]) -> u32 {
+    let _span = crate::telemetry::ENCODE_CRC.enter();
+    crc32(body)
+}
+
 /// Serialises a chunked (v2) stream: the header, the chunk span, the chunk
 /// table and the concatenated per-chunk bodies. `chunk_bodies` must be in
 /// [`ChunkPlan`] row-major chunk order, each produced by [`write_sections`].
@@ -291,7 +299,7 @@ pub fn write_stream_v3(
         put_u64(&mut out, offset);
         put_u64(&mut out, body.len() as u64);
         put_u8(&mut out, pipeline.id());
-        put_u32(&mut out, crc32(body));
+        put_u32(&mut out, body_crc(body));
         offset += body.len() as u64;
     }
     for (_, body) in chunks {
@@ -319,7 +327,7 @@ pub fn write_stream_v4(
     let mut entries = Vec::with_capacity(chunks.len());
     let mut offset = 0u64;
     for (pipeline, body) in chunks {
-        entries.push((offset, body.len() as u64, *pipeline, crc32(body)));
+        entries.push((offset, body.len() as u64, *pipeline, body_crc(body)));
         offset += body.len() as u64;
         out.extend_from_slice(body);
     }
@@ -375,7 +383,8 @@ pub fn write_stream_v5(
     let mut entries = Vec::with_capacity(chunks.len());
     let mut offset = 0u64;
     for (pipeline, config, body) in chunks {
-        entries.push((offset, body.len() as u64, *pipeline, *config, crc32(body)));
+        let crc = body_crc(body);
+        entries.push((offset, body.len() as u64, *pipeline, *config, crc));
         offset += body.len() as u64;
         out.extend_from_slice(body);
     }

@@ -45,8 +45,8 @@ use rayon::prelude::*;
 use std::borrow::Cow;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Deref;
+use std::sync::{Mutex, PoisonError};
 use szhi_codec::bitio::put_u32;
-use szhi_codec::checksum::crc32;
 use szhi_codec::PipelineSpec;
 use szhi_ndgrid::{ChunkPlan, Dims, Grid, Region};
 use szhi_predictor::{
@@ -276,11 +276,6 @@ pub(crate) struct ChunkEncoder {
     /// candidates on its own blocks and is compressed with the winner
     /// (the container becomes v5 to carry the per-chunk configs).
     chunk_interp: bool,
-    /// The level-order permutation for every distinct chunk shape of the
-    /// plan (interior chunks plus the boundary remainders — at most eight
-    /// shapes), precomputed once so per-chunk encoding never rebuilds it.
-    /// Empty when reordering is disabled.
-    orders: Vec<(Dims, LevelOrder)>,
 }
 
 impl ChunkEncoder {
@@ -368,15 +363,6 @@ impl ChunkEncoder {
         // compresses equally well, fall back cleanly to the configured
         // default.
         let selection = PipelineSelection::from_tuning(mode, mode_tuning);
-        let mut orders: Vec<(Dims, LevelOrder)> = Vec::new();
-        if reorder {
-            for i in 0..plan.len() {
-                let d = plan.chunk_dims(i);
-                if !orders.iter().any(|(od, _)| *od == d) {
-                    orders.push((d, LevelOrder::new(d, interp.anchor_stride)));
-                }
-            }
-        }
         Ok(ChunkEncoder {
             header: Header {
                 dims,
@@ -389,7 +375,6 @@ impl ChunkEncoder {
             predictor,
             selection,
             chunk_interp,
-            orders,
         })
     }
 
@@ -477,12 +462,8 @@ impl ChunkEncoder {
         };
         let codes: &[u8] = if self.header.reorder {
             let _span = crate::telemetry::ENCODE_REORDER.enter();
-            let order = self
-                .orders
-                .iter()
-                .find(|(d, _)| *d == expected)
-                .map(|(_, o)| o)
-                .expect("every plan chunk shape has a precomputed permutation");
+            // szhi-analyzer: allow(steady-alloc) -- `LevelOrder::new` allocates only its (levels + 1)-entry count vector, a few dozen bytes per chunk, never a field-sized buffer
+            let order = LevelOrder::new(expected, self.header.interp.anchor_stride);
             order.reorder_into(&scratch.output.codes, &mut scratch.reordered);
             &scratch.reordered
         } else {
@@ -883,10 +864,7 @@ impl<W: Write> StreamSink<W> {
             .enc
             .encode_into(index, chunk, &mut self.scratch, &mut self.body_buf)?;
         let config = config_id_for(&mut self.configs, meta.levels)?;
-        let crc = {
-            let _span = crate::telemetry::ENCODE_CRC.enter();
-            crc32(&self.body_buf)
-        };
+        let crc = format::body_crc(&self.body_buf);
         if let Err(e) = self.out.write_all(&self.body_buf) {
             self.poisoned = true;
             return Err(e.into());
@@ -926,10 +904,7 @@ impl<W: Write> StreamSink<W> {
             )));
         }
         let config = config_id_for(&mut self.configs, chunk.levels)?;
-        let crc = {
-            let _span = crate::telemetry::ENCODE_CRC.enter();
-            crc32(&chunk.body)
-        };
+        let crc = format::body_crc(&chunk.body);
         if let Err(e) = self.out.write_all(&chunk.body) {
             self.poisoned = true;
             return Err(e.into());
@@ -1150,13 +1125,29 @@ impl<'a> StreamReader<'a> {
     }
 
     /// Decodes every chunk **eagerly**, fanning the work out across the
-    /// worker threads, and assembles the full field.
+    /// worker threads, and writes each chunk into the full field the
+    /// moment it is decoded: besides the field, at most one decoded chunk
+    /// per worker is alive. On failure the first error in plan order is
+    /// returned.
     pub fn read_all(&self) -> Result<Grid<f32>, SzhiError> {
-        let chunks: Vec<Result<(Region, Grid<f32>), SzhiError>> = (0..self.chunk_count())
+        let field = Mutex::new(Grid::zeros(self.dims()));
+        let errors: Vec<Option<SzhiError>> = (0..self.chunk_count())
             .into_par_iter()
-            .map(|i| self.read_chunk(i))
+            .map(|i| match self.read_chunk(i) {
+                Ok((region, sub)) => {
+                    field
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .insert(&region, sub.as_slice());
+                    None
+                }
+                Err(e) => Some(e),
+            })
             .collect();
-        assemble(self.dims(), chunks)
+        match errors.into_iter().flatten().next() {
+            Some(e) => Err(e),
+            None => Ok(field.into_inner().unwrap_or_else(PoisonError::into_inner)),
+        }
     }
 }
 
@@ -2259,6 +2250,57 @@ mod tests {
                     n,
                     "{what} on v{}: one decode.crc span per chunk",
                     stream_version(bytes).unwrap()
+                );
+            }
+        }
+        szhi_telemetry::set_thread_span_listener(None);
+    }
+
+    #[test]
+    fn every_write_path_checksums_each_chunk_in_the_crc_span() {
+        // `encode.crc` counts one span per chunk body on every write path:
+        // the in-memory v3 and v5 writers (`compress` and `StreamWriter`,
+        // which checksum while serialising the container) and the v4
+        // `StreamSink`. Every checksum runs on the calling thread, which
+        // is the only thread this listener observes.
+        let data = DatasetKind::Rtm.generate(Dims::d3(40, 40, 24), 13);
+        let span = [16, 16, 16];
+        let v3 = stream_cfg(span);
+        let v5 = v3.clone().with_chunk_interp_tuning(true);
+        let crcs = std::rc::Rc::new(std::cell::Cell::new(0usize));
+        let seen = std::rc::Rc::clone(&crcs);
+        szhi_telemetry::set_thread_span_listener(Some(Box::new(move |name, entering| {
+            if entering && name == "encode.crc" {
+                seen.set(seen.get() + 1);
+            }
+        })));
+        for cfg in [&v3, &v5] {
+            let writers: [(&str, &dyn Fn() -> Vec<u8>); 3] = [
+                ("compress", &|| crate::compress(&data, cfg).unwrap()),
+                ("StreamWriter", &|| {
+                    let mut writer = StreamWriter::new(data.dims(), cfg).unwrap();
+                    push_all(&mut writer, &data);
+                    writer.finish().unwrap()
+                }),
+                ("StreamSink", &|| {
+                    let mut sink = StreamSink::new(Vec::new(), data.dims(), cfg).unwrap();
+                    while let Some(region) = sink.next_chunk_region() {
+                        let dims = sink.plan().chunk_dims(sink.next_index());
+                        let chunk = Grid::from_vec(dims, data.extract(&region));
+                        sink.push_chunk(&chunk).unwrap();
+                    }
+                    sink.finish().unwrap()
+                }),
+            ];
+            for (what, write) in writers {
+                crcs.set(0);
+                let bytes = write();
+                let n = StreamReader::new(&bytes).unwrap().chunk_count();
+                assert_eq!(
+                    crcs.get(),
+                    n,
+                    "{what} writing v{}: one encode.crc span per chunk",
+                    stream_version(&bytes).unwrap()
                 );
             }
         }

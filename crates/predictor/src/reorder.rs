@@ -8,24 +8,28 @@
 //! coarsest levels (and the anchors) first. The reordered sequence is much
 //! smoother, which the byte-level reducers (RRE/RZE) exploit.
 //!
-//! This module implements the mapping as an explicit permutation: the level
-//! of a point is the largest `ℓ ≤ log2(anchor_stride)` such that `2^ℓ`
-//! divides all of its coordinates (degenerate axes are ignored), and points
-//! are ordered by descending level with raster order inside each level —
-//! exactly the grouping Eq. 3 produces.
+//! The level of a point is the largest `ℓ ≤ L = log2(anchor_stride)` such
+//! that `2^ℓ` divides all of its coordinates (degenerate axes only hold the
+//! coordinate 0, which every stride divides), and points are ordered by
+//! descending level with raster order inside each level — exactly the
+//! grouping Eq. 3 produces. No permutation table is built: the points of
+//! level `ℓ < L` are those of the `2^ℓ` lattice that are not on the
+//! `2^(ℓ+1)` lattice, so [`LevelOrder::reorder_into`] and
+//! [`LevelOrder::restore`] walk the lattices directly. The anchor lattice
+//! (stride `2^L`) comes first; then, for `ℓ = L−1 … 0`, every `2^ℓ`-lattice
+//! row in raster order, where a row whose `z` and `y` both lie on the
+//! `2^(ℓ+1)` lattice contributes only the odd multiples of `2^ℓ` in `x`.
+//! Construction is O(levels), so encode and decode both build the order
+//! per chunk at no measurable cost.
 
 use crate::error::PredictorError;
-use rayon::prelude::*;
 use szhi_ndgrid::Dims;
 
-/// The level-ordered permutation for a field shape and anchor stride.
+/// The level order of a field shape and anchor stride.
 #[derive(Debug, Clone)]
 pub struct LevelOrder {
     dims: Dims,
     max_level: u32,
-    /// `dest[i]` is the position of raster index `i` in the reordered
-    /// sequence.
-    dest: Vec<u32>,
     /// Number of points per level, from level `max_level` (anchors) down to 0.
     level_counts: Vec<usize>,
 }
@@ -57,50 +61,37 @@ fn valuation(c: usize, cap: u32) -> u32 {
     }
 }
 
+/// Number of points of `dims` whose every coordinate is a multiple of
+/// `step`.
+fn lattice(dims: Dims, step: usize) -> usize {
+    dims.nz().div_ceil(step) * dims.ny().div_ceil(step) * dims.nx().div_ceil(step)
+}
+
 impl LevelOrder {
-    /// Builds the permutation for `dims` with the given anchor stride (a
+    /// Builds the level order for `dims` with the given anchor stride (a
     /// power of two).
     pub fn new(dims: Dims, anchor_stride: usize) -> Self {
         assert!(anchor_stride.is_power_of_two() && anchor_stride >= 2);
         let max_level = anchor_stride.trailing_zeros();
-        // Per-point level, computed in parallel over z-planes.
-        let plane = dims.ny() * dims.nx();
-        let levels: Vec<u8> = (0..dims.len())
-            .into_par_iter()
-            .with_min_len(plane.max(1024))
-            .map(|idx| {
-                let (z, y, x) = dims.coords(idx);
-                level_of(z, y, x, dims, max_level) as u8
+        let level_counts = (0..=max_level)
+            .rev()
+            .map(|level| {
+                let on = lattice(dims, 1 << level);
+                if level == max_level {
+                    on
+                } else {
+                    on - lattice(dims, 2 << level)
+                }
             })
             .collect();
-        // Count per level (descending) and prefix offsets.
-        let mut level_counts = vec![0usize; max_level as usize + 1];
-        for &l in &levels {
-            level_counts[(max_level - l as u32) as usize] += 1;
-        }
-        let mut offsets = vec![0usize; max_level as usize + 1];
-        let mut acc = 0usize;
-        for (i, &c) in level_counts.iter().enumerate() {
-            offsets[i] = acc;
-            acc += c;
-        }
-        // Destination index per point: raster order within each level bucket.
-        let mut dest = vec![0u32; dims.len()];
-        let mut cursor = offsets;
-        for (idx, &l) in levels.iter().enumerate() {
-            let bucket = (max_level - l as u32) as usize;
-            dest[idx] = cursor[bucket] as u32;
-            cursor[bucket] += 1;
-        }
         LevelOrder {
             dims,
             max_level,
-            dest,
             level_counts,
         }
     }
 
-    /// The field shape this permutation was built for.
+    /// The field shape this order was built for.
     pub fn dims(&self) -> Dims {
         self.dims
     }
@@ -116,13 +107,41 @@ impl LevelOrder {
         &self.level_counts
     }
 
-    /// Destination position of raster index `idx` in the reordered sequence
-    /// (the paper's `I_{x,y,z}`).
-    pub fn destination(&self, idx: usize) -> usize {
-        self.dest[idx] as usize
+    /// Visits the reordered sequence as runs, in order: `visit(start, step,
+    /// len)` stands for the `len` raster indices `start, start + step, …`,
+    /// all on one x-row. Every raster index is visited exactly once.
+    fn for_each_run(&self, mut visit: impl FnMut(usize, usize, usize)) {
+        let (nz, ny, nx) = self.dims.as_tuple();
+        let anchor = 1usize << self.max_level;
+        let anchor_len = nx.div_ceil(anchor);
+        for z in (0..nz).step_by(anchor) {
+            for y in (0..ny).step_by(anchor) {
+                visit((z * ny + y) * nx, anchor, anchor_len);
+            }
+        }
+        for level in (0..self.max_level).rev() {
+            let step = 1usize << level;
+            let coarse = step << 1;
+            // Row lengths: every multiple of `step` below `nx`, or only the
+            // odd ones.
+            let (all, odd) = (nx.div_ceil(step), nx.saturating_sub(step).div_ceil(coarse));
+            for z in (0..nz).step_by(step) {
+                for y in (0..ny).step_by(step) {
+                    let row = (z * ny + y) * nx;
+                    if z % coarse == 0 && y % coarse == 0 {
+                        if odd > 0 {
+                            visit(row + step, coarse, odd);
+                        }
+                    } else {
+                        visit(row, step, all);
+                    }
+                }
+            }
+        }
     }
 
-    /// Applies the permutation: `out[dest[i]] = codes[i]`.
+    /// Applies the level order: the codes of the anchor level first, then
+    /// each finer level, raster order within a level.
     pub fn reorder(&self, codes: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         self.reorder_into(codes, &mut out);
@@ -135,31 +154,49 @@ impl LevelOrder {
     pub fn reorder_into(&self, codes: &[u8], out: &mut Vec<u8>) {
         assert_eq!(
             codes.len(),
-            self.dest.len(),
-            "code array does not match the permutation"
+            self.dims.len(),
+            "code array does not match the level order"
         );
         out.clear();
         out.resize(codes.len(), 0);
-        for (i, &d) in self.dest.iter().enumerate() {
-            out[d as usize] = codes[i];
-        }
+        let mut pos = 0;
+        self.for_each_run(|start, step, len| {
+            let dst = &mut out[pos..pos + len];
+            if step == 1 {
+                dst.copy_from_slice(&codes[start..start + len]);
+            } else {
+                for (o, &c) in dst.iter_mut().zip(codes[start..].iter().step_by(step)) {
+                    *o = c;
+                }
+            }
+            pos += len;
+        });
     }
 
-    /// Inverts the permutation: `out[i] = reordered[dest[i]]`. The input is
-    /// untrusted (it comes from a decoded stream payload), so a length
-    /// mismatch surfaces as a typed error rather than a panic.
+    /// Inverts the level order, returning the codes in raster order. The
+    /// input is untrusted (it comes from a decoded stream payload), so a
+    /// length mismatch surfaces as a typed error rather than a panic.
     pub fn restore(&self, reordered: &[u8]) -> Result<Vec<u8>, PredictorError> {
-        if reordered.len() != self.dest.len() {
+        if reordered.len() != self.dims.len() {
             return Err(PredictorError::Inconsistent(format!(
-                "{} reordered codes for a permutation over {} points",
+                "{} reordered codes for a level order over {} points",
                 reordered.len(),
-                self.dest.len()
+                self.dims.len()
             )));
         }
         let mut out = vec![0u8; reordered.len()];
-        for (i, &d) in self.dest.iter().enumerate() {
-            out[i] = reordered[d as usize];
-        }
+        let mut pos = 0;
+        self.for_each_run(|start, step, len| {
+            let src = &reordered[pos..pos + len];
+            if step == 1 {
+                out[start..start + len].copy_from_slice(src);
+            } else {
+                for (o, &c) in out[start..].iter_mut().step_by(step).zip(src) {
+                    *o = c;
+                }
+            }
+            pos += len;
+        });
         Ok(out)
     }
 }
@@ -169,17 +206,106 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
+    /// The permutation table the level order was once built from, kept as
+    /// the reference the lattice walk must reproduce: `dest[i]` is the
+    /// position of raster index `i` in the reordered sequence, and the
+    /// counts run from the anchor level down to level 0.
+    fn reference(dims: Dims, anchor_stride: usize) -> (Vec<usize>, Vec<usize>) {
+        let max_level = anchor_stride.trailing_zeros();
+        let levels: Vec<u32> = (0..dims.len())
+            .map(|idx| {
+                let (z, y, x) = dims.coords(idx);
+                level_of(z, y, x, dims, max_level)
+            })
+            .collect();
+        let mut counts = vec![0usize; max_level as usize + 1];
+        for &l in &levels {
+            counts[(max_level - l) as usize] += 1;
+        }
+        let mut cursor: Vec<usize> = counts
+            .iter()
+            .scan(0, |acc, &c| {
+                let offset = *acc;
+                *acc += c;
+                Some(offset)
+            })
+            .collect();
+        let dest = levels
+            .iter()
+            .map(|&l| {
+                let bucket = (max_level - l) as usize;
+                cursor[bucket] += 1;
+                cursor[bucket] - 1
+            })
+            .collect();
+        (dest, counts)
+    }
+
+    /// Asserts that `reorder_into`, `restore` and `level_counts` equal the
+    /// reference. The raster index is written in three byte planes, so
+    /// equal outputs pin the permutation exactly, not merely up to
+    /// repeated code values.
+    fn assert_matches_reference(dims: Dims, stride: usize) {
+        let (dest, counts) = reference(dims, stride);
+        let order = LevelOrder::new(dims, stride);
+        assert_eq!(order.level_counts(), &counts[..], "{dims} stride {stride}");
+        let mut out = Vec::new();
+        for shift in [0, 8, 16] {
+            let codes: Vec<u8> = (0..dims.len()).map(|i| (i >> shift) as u8).collect();
+            let mut expect = vec![0u8; codes.len()];
+            for (&d, &c) in dest.iter().zip(&codes) {
+                expect[d] = c;
+            }
+            order.reorder_into(&codes, &mut out);
+            assert_eq!(out, expect, "reorder of {dims}, stride {stride}");
+            assert_eq!(
+                order.restore(&expect).unwrap(),
+                codes,
+                "restore of {dims}, stride {stride}"
+            );
+        }
+    }
+
+    #[test]
+    fn lattice_walk_matches_the_permutation_reference() {
+        let shapes = [
+            Dims::d3(20, 17, 33),
+            Dims::d3(33, 33, 33),
+            Dims::d3(64, 64, 64),
+            Dims::d3(65, 40, 7),
+            Dims::d3(1, 17, 33),
+            Dims::d3(20, 1, 33),
+            Dims::d3(20, 17, 1),
+            Dims::d3(1, 1, 70),
+            Dims::d3(1, 1, 1),
+            Dims::d2(50, 41),
+            Dims::d2(64, 64),
+            Dims::d2(1, 41),
+            Dims::d2(50, 1),
+            Dims::d1(100),
+            Dims::d1(64),
+            Dims::d1(2),
+            Dims::d1(1),
+        ];
+        for dims in shapes {
+            for stride in [2usize, 4, 8, 16, 32] {
+                assert_matches_reference(dims, stride);
+            }
+        }
+    }
+
     #[test]
     fn permutation_is_a_bijection() {
         for dims in [Dims::d3(20, 17, 33), Dims::d2(50, 41), Dims::d1(100)] {
             for stride in [8usize, 16] {
                 let order = LevelOrder::new(dims, stride);
                 let mut seen = vec![false; dims.len()];
-                for i in 0..dims.len() {
-                    let d = order.destination(i);
-                    assert!(!seen[d], "destination {d} assigned twice");
-                    seen[d] = true;
-                }
+                order.for_each_run(|start, step, len| {
+                    for i in (start..).step_by(step).take(len) {
+                        assert!(!seen[i], "raster index {i} visited twice");
+                        seen[i] = true;
+                    }
+                });
                 assert!(seen.iter().all(|&s| s));
             }
         }

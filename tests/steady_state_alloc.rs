@@ -1,4 +1,4 @@
-//! Steady-state allocation behaviour of the chunk encode chain.
+//! Allocation behaviour of the chunk encode and decode chains.
 //!
 //! The encode hot path threads reusable scratch buffers (the predictor's
 //! reconstruction plane, its quantization output, the level-reordered code
@@ -6,21 +6,34 @@
 //! buffers are warm, compressing another chunk of the same shape performs
 //! no heap growth in the decomposition chain at all — and a full sink push
 //! allocates only the lossless pipeline's own working set, never another
-//! field-sized buffer. Both properties are pinned down with a counting
-//! global allocator.
+//! field-sized buffer. The parallel reader writes each decoded chunk into
+//! the output field as it finishes, so its heap high-water stays near one
+//! field, not two. All three properties are pinned down with a counting
+//! global allocator; the tests take one lock so that no other test's
+//! allocations land inside a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use szhi::prelude::*;
 
-/// Counts cumulative allocated bytes on top of the system allocator.
+/// Counts cumulative allocated bytes, live bytes and the live high-water
+/// on top of the system allocator.
 struct CountingAlloc;
 
 static TOTAL_ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(by: usize) {
+    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: delegates every operation to `System` unchanged; the added
-// bookkeeping is a relaxed atomic add with no further allocator reentry.
+// bookkeeping is relaxed atomic arithmetic with no further allocator
+// reentry.
 // szhi-analyzer: allow(no-unsafe) -- a GlobalAlloc impl is unsafe by trait contract
 unsafe impl GlobalAlloc for CountingAlloc {
     // szhi-analyzer: allow(no-unsafe) -- signature mandated by GlobalAlloc
@@ -28,6 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             TOTAL_ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+            grow(layout.size());
         }
         ptr
     }
@@ -35,6 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // szhi-analyzer: allow(no-unsafe) -- signature mandated by GlobalAlloc
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
     }
 
     // szhi-analyzer: allow(no-unsafe) -- signature mandated by GlobalAlloc
@@ -42,6 +57,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let new_ptr = System.realloc(ptr, layout, new_size);
         if !new_ptr.is_null() {
             TOTAL_ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+            if new_size >= layout.size() {
+                grow(new_size - layout.size());
+            } else {
+                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+            }
         }
         new_ptr
     }
@@ -54,8 +74,25 @@ fn allocated() -> usize {
     TOTAL_ALLOCATED.load(Ordering::Relaxed)
 }
 
+/// Runs `f` and returns its result with the live-heap high-water it
+/// reached above the live bytes at entry.
+fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let entry = LIVE.load(Ordering::Relaxed);
+    PEAK.store(entry, Ordering::Relaxed);
+    let out = f();
+    (out, PEAK.load(Ordering::Relaxed) - entry)
+}
+
+/// Serialises the tests of this file: they share the allocator counters
+/// and the global worker-thread override.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn warm_scratch_decomposition_performs_zero_heap_growth() {
+    let _serial = serial();
     use szhi_predictor::{CompressScratch, InterpConfig, InterpOutput, InterpPredictor};
 
     rayon::set_num_threads(1);
@@ -94,6 +131,7 @@ fn warm_scratch_decomposition_performs_zero_heap_growth() {
 fn steady_state_sink_pushes_allocate_no_field_sized_buffers() {
     use szhi::core::StreamSink;
 
+    let _serial = serial();
     // Sequential encoding: the measurement must see one encode chain, not
     // a worker pool's interleaved allocations.
     rayon::set_num_threads(1);
@@ -146,6 +184,49 @@ fn steady_state_sink_pushes_allocate_no_field_sized_buffers() {
     rayon::set_num_threads(0);
     let recon = szhi::core::decompress(&bytes).unwrap();
     for (a, b) in data.as_slice().iter().zip(recon.as_slice()) {
+        assert!(((*a as f64) - (*b as f64)).abs() <= 2e-3 + 1e-12);
+    }
+}
+
+#[test]
+fn parallel_read_all_holds_one_field_plus_a_chunk_per_worker() {
+    use szhi::core::StreamReader;
+
+    let _serial = serial();
+    let dims = Dims::d3(64, 64, 128); // 128 chunks of 16³
+    let data = DatasetKind::Miranda.generate(dims, 5);
+    let cfg = SzhiConfig::new(ErrorBound::Absolute(2e-3))
+        .with_auto_tune(false)
+        .with_chunk_span([16, 16, 16]);
+    let bytes = szhi::core::compress(&data, &cfg).unwrap();
+    let reader = StreamReader::new(&bytes).unwrap();
+    assert!(reader.chunk_count() >= 8, "need enough chunks to measure");
+
+    // One chunk's decode working set: the largest high-water of decoding
+    // a single chunk on one thread, the returned sub-field included.
+    rayon::set_num_threads(1);
+    let chunk_set = (0..reader.chunk_count())
+        .map(|i| peak_above_entry(|| reader.read_chunk(i).unwrap()).1)
+        .max()
+        .unwrap();
+
+    let threads = 4;
+    rayon::set_num_threads(threads);
+    let (field, peak) = peak_above_entry(|| reader.read_all().unwrap());
+    rayon::set_num_threads(0);
+
+    // The output field plus what each worker holds while decoding (with
+    // two spare chunk sets for the pool's own bookkeeping). Holding every
+    // decoded chunk until a final assembly pass needs about two fields.
+    let field_bytes = dims.nbytes_f32();
+    let bound = field_bytes + (threads + 2) * chunk_set;
+    assert!(
+        peak < bound,
+        "read_all peaked {peak} B above entry, over the {bound} B bound (field \
+         {field_bytes} B, one chunk's decode working set {chunk_set} B) — decoded \
+         chunks are being held instead of written into the field"
+    );
+    for (a, b) in data.as_slice().iter().zip(field.as_slice()) {
         assert!(((*a as f64) - (*b as f64)).abs() <= 2e-3 + 1e-12);
     }
 }
